@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -88,6 +91,96 @@ TEST(Image, ResizePreservesConstantImage) {
 TEST(Image, ResizeRejectsBadTarget) {
   Image img(10, 10);
   EXPECT_THROW(resizeBilinear(img, 0, 5), std::invalid_argument);
+}
+
+/// Source image filled with seeded uniform noise.
+Image noiseImage(int width, int height, std::uint64_t seed) {
+  Image img(width, height);
+  Rng rng(seed);
+  for (float& v : img.data()) v = static_cast<float>(rng.uniform());
+  return img;
+}
+
+/// dst's rect [x0, x1) x [y0, y1), sampled pixel by pixel through
+/// sampleBilinear at resizeBilinear's centre-aligned mapping -- the
+/// reference the table-driven resize must reproduce bit for bit.
+void referenceResizeInto(const Image& src, Image& dst, int x0, int y0,
+                         int x1, int y1) {
+  const float sx = static_cast<float>(src.width()) / dst.width();
+  const float sy = static_cast<float>(src.height()) / dst.height();
+  for (int y = y0; y < y1; ++y) {
+    for (int x = x0; x < x1; ++x) {
+      const float srcX = (static_cast<float>(x) + 0.5f) * sx - 0.5f;
+      const float srcY = (static_cast<float>(y) + 0.5f) * sy - 0.5f;
+      dst.at(x, y) = src.sampleBilinear(srcX, srcY);
+    }
+  }
+}
+
+bool bitwiseEqual(const Image& a, const Image& b) {
+  return a.width() == b.width() && a.height() == b.height() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     sizeof(float) * a.data().size()) == 0;
+}
+
+TEST(Image, ResizeMatchesPerPixelSamplingBitwise) {
+  // Every 1.1x pyramid step of each source, down to a 1-pixel side: the
+  // whole-image resize and a full-rect resizeBilinearInto must both equal
+  // per-pixel sampleBilinear exactly (DESIGN.md 5j). The temporal path
+  // splices resizeBilinearInto rects into levels built by resizeBilinear,
+  // so any divergence between the two would break its parity contract.
+  const int sources[][2] = {{640, 480}, {1920, 1080}, {65, 129}, {7, 3}};
+  std::uint64_t seed = 11;
+  for (const auto& dims : sources) {
+    const Image src = noiseImage(dims[0], dims[1], ++seed);
+    for (float scale = 1.0f;; scale *= 1.1f) {
+      const int w = static_cast<int>(std::lround(dims[0] / scale));
+      const int h = static_cast<int>(std::lround(dims[1] / scale));
+      if (w < 1 || h < 1) break;
+      Image expected(w, h);
+      referenceResizeInto(src, expected, 0, 0, w, h);
+      ASSERT_TRUE(bitwiseEqual(resizeBilinear(src, w, h), expected))
+          << dims[0] << "x" << dims[1] << " -> " << w << "x" << h;
+      Image into(w, h, -1.0f);
+      resizeBilinearInto(src, into, 0, 0, w, h);
+      ASSERT_TRUE(bitwiseEqual(into, expected))
+          << dims[0] << "x" << dims[1] << " -> " << w << "x" << h;
+    }
+  }
+}
+
+TEST(Image, ResizeIntoDirtyRectsMatchPerPixelSamplingBitwise) {
+  // Dirty sub-rectangles, including degenerate and border cases: pixels
+  // inside the (clamped) rect are refreshed bit for bit, pixels outside
+  // keep their old value.
+  const Image src = noiseImage(97, 61, 5);
+  const int sizes[][2] = {{88, 55}, {41, 29}, {97, 61}, {130, 70}, {1, 1}};
+  for (const auto& size : sizes) {
+    const int w = size[0];
+    const int h = size[1];
+    const int rects[][4] = {
+        {3, 2, 17, 11},          // interior
+        {5, 0, 6, h},            // 1 pixel wide, full height
+        {0, 4, w, 5},            // 1 pixel tall, full width
+        {w - 1, h - 1, w, h},    // the last pixel alone
+        {w - 7, 1, w, h},        // touches the last column and row
+        {-9, -4, 6, 5},          // clamped past the top-left border
+        {w - 3, h - 2, w + 40, h + 9},  // clamped past the bottom-right
+        {-5, -5, w + 5, h + 5},  // covers everything, clamped on all sides
+        {6, 6, 6, 9},            // empty (x0 == x1)
+        {8, 9, 2, 3},            // inverted
+    };
+    for (const auto& r : rects) {
+      Image expected(w, h, -7.0f);
+      referenceResizeInto(src, expected, std::max(0, r[0]), std::max(0, r[1]),
+                          std::min(w, r[2]), std::min(h, r[3]));
+      Image into(w, h, -7.0f);
+      resizeBilinearInto(src, into, r[0], r[1], r[2], r[3]);
+      ASSERT_TRUE(bitwiseEqual(into, expected))
+          << w << "x" << h << " rect " << r[0] << "," << r[1] << " " << r[2]
+          << "," << r[3];
+    }
+  }
 }
 
 TEST(Image, RgbToGrayUsesLumaWeights) {
