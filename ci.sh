@@ -233,4 +233,25 @@ print(f"serve smoke: {rejected} rejected, {transitions} ladder transitions "
       f"overloaded point shed {overloaded['shed_rate']:.0%}")
 EOF
 
-echo "ci.sh: build + tests (incl. scalar-dispatch + dense-engine + asan fast|bundle|video|serve and tsan fast|serve re-runs + obs, stream, prom, flight, bundle, video & serve smoke) passed"
+# Benchmark smoke: the perfbench harness self-tests, then a short traced
+# run of the gated Fig. 4 workload. Its output checks (thread parity of the
+# detections, stage spans adding up to the traced frames) must pass; the
+# run's timings are not judged here. perfbench builds its own tree.
+BENCH_TREE="$(cd "$BUILD_DIR" && pwd)-bench"
+CARGO_TARGET_DIR="$BENCH_TREE" \
+  python3 -m unittest discover -s perfbench -p 'test_*.py'
+CARGO_TARGET_DIR="$BENCH_TREE" python3 perfbench/run.py \
+  --workload scene-vga-hog --seed 1 --seconds 5 --trace 1 \
+  > "$OBS_DIR/perfbench.txt" \
+  || { tail -n 40 "$OBS_DIR/perfbench.txt"; exit 1; }
+python3 - "$OBS_DIR/perfbench.txt" <<'EOF'
+import json, sys
+lines = open(sys.argv[1]).read().splitlines()
+result = json.loads(lines[-1])
+assert result["correct"] is True, lines[-20:]
+assert result["failed"] == 0, result
+print(f"perfbench smoke: scene-vga-hog traced, {result['attempted']} frames, "
+      "all checks ok")
+EOF
+
+echo "ci.sh: build + tests (incl. scalar-dispatch + dense-engine + asan fast|bundle|video|serve and tsan fast|serve re-runs + obs, stream, prom, flight, bundle, video, serve & perfbench smoke) passed"

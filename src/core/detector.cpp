@@ -60,6 +60,23 @@ GridDetector::GridDetector(const GridDetectorParams& params,
   params_.windowCellsY = featureExtractor_->windowCellsY();
 }
 
+bool GridDetector::scoreWindow(const hog::CellGrid& grid,
+                               const hog::BlockGrid& blocks, int wx, int wy,
+                               std::vector<float>& features,
+                               float& score) const {
+  try {
+    if (featureExtractor_->layout() == extract::FeatureLayout::kBlockNorm) {
+      featureExtractor_->windowFromBlocksInto(blocks, wx, wy, features);
+    } else {
+      features = featureExtractor_->windowFromGrid(grid, wx, wy);
+    }
+    score = scorer_(features);
+    return true;
+  } catch (const std::exception&) {
+    return false;
+  }
+}
+
 std::vector<vision::Detection> GridDetector::detectRaw(
     const vision::Image& scene) const {
   return detectRaw(scene, params_.scoreThreshold);
@@ -193,18 +210,11 @@ std::vector<vision::Detection> GridDetector::detectRaw(
     auto scanRow = [&](long cy) {
       std::vector<vision::Detection>& row =
           rows[static_cast<std::size_t>(cy)];
+      std::vector<float> features;
       for (int cx = 0; cx <= maxCx; ++cx) {
         float score;
-        try {
-          const std::vector<float> features =
-              blockPath ? featureExtractor_->windowFromBlocks(
-                              blocks, cx, static_cast<int>(cy))
-                        : featureExtractor_->windowFromGrid(
-                              grid, cx, static_cast<int>(cy));
-          score = scorer_(features);
-        } catch (const std::exception&) {
-          // One window's feature assembly or scoring failing loses that
-          // window only; the rest of the row keeps scanning.
+        if (!scoreWindow(grid, blocks, cx, static_cast<int>(cy), features,
+                         score)) {
           ++rowWindowsLost[static_cast<std::size_t>(cy)];
           continue;
         }

@@ -228,6 +228,15 @@ class GridDetector {
   /// the per-level hot path never touches the metrics registry lock.
   obs::LatencyHistogram& cellGridUs() const { return *cellGridUs_; }
 
+  /// The one window-scoring step of every scan path: assembles the window
+  /// whose top-left cell is (wx, wy) into `features` -- a buffer its scan
+  /// row reuses across windows, so assembly does not allocate -- and
+  /// scores it into `score`. Returns false when assembly or scoring
+  /// throws: that window is lost, and the row scans on.
+  bool scoreWindow(const hog::CellGrid& grid, const hog::BlockGrid& blocks,
+                   int wx, int wy, std::vector<float>& features,
+                   float& score) const;
+
   /// One frame of the temporal path: reuse what the cache allows, refresh
   /// the rest, leave the cache describing this frame. `deadlineUs` <= 0
   /// means no deadline; `report` may be null.

@@ -112,39 +112,6 @@ void GridDetector::resetTemporalCache() { temporal_.reset(); }
 
 namespace {
 
-/// Scans every window of a level into `scores` (parallel rows, each row a
-/// disjoint slice -- deterministic for any thread count). Windows whose
-/// feature assembly or scoring throws keep kLostScore and are tallied.
-void scoreAllWindows(const extract::FeatureExtractor& extractor,
-                     const WindowScorer& scorer, bool blockPath,
-                     const hog::CellGrid& grid, const hog::BlockGrid& blocks,
-                     auto& lc,
-                     bool parallelScan, long& windowsLost) {
-  lc.scores.assign(static_cast<std::size_t>(lc.spanX) * lc.spanY,
-                   kLostScore);
-  std::vector<long> rowLost(static_cast<std::size_t>(lc.spanY), 0);
-  auto scanRow = [&](long wy) {
-    float* row = lc.scores.data() + static_cast<std::size_t>(wy) * lc.spanX;
-    for (int wx = 0; wx < lc.spanX; ++wx) {
-      try {
-        const std::vector<float> features =
-            blockPath
-                ? extractor.windowFromBlocks(blocks, wx, static_cast<int>(wy))
-                : extractor.windowFromGrid(grid, wx, static_cast<int>(wy));
-        row[wx] = scorer(features);
-      } catch (const std::exception&) {
-        ++rowLost[static_cast<std::size_t>(wy)];
-      }
-    }
-  };
-  if (parallelScan) {
-    parallelFor(0, lc.spanY, scanRow);
-  } else {
-    for (int wy = 0; wy < lc.spanY; ++wy) scanRow(wy);
-  }
-  for (long lost : rowLost) windowsLost += lost;
-}
-
 /// Appends the level's above-threshold windows in row-major order --
 /// the same order the sequential scan emits, which is what keeps the NMS
 /// input identical between the cached and full paths.
@@ -418,6 +385,37 @@ std::vector<vision::Detection> GridDetector::detectFrameTemporal(
                                frame.width(), frame.height());
   }
 
+  // Rescores the windows of a level that `selected(wx, wy)` picks into
+  // its score grid. Rows run on the pool, each a disjoint score slice with
+  // its own feature buffer and tallies, so the result is deterministic for
+  // any thread count. A lost window keeps kLostScore.
+  auto rescoreWindows = [&](TemporalCache::Level& lc, auto selected,
+                            long& rescored, long& lost) {
+    std::vector<long> rowRescored(static_cast<std::size_t>(lc.spanY), 0);
+    std::vector<long> rowLost(static_cast<std::size_t>(lc.spanY), 0);
+    auto rescanRow = [&](long wy) {
+      float* row =
+          lc.scores.data() + static_cast<std::size_t>(wy) * lc.spanX;
+      std::vector<float> features;
+      for (int wx = 0; wx < lc.spanX; ++wx) {
+        if (!selected(wx, static_cast<int>(wy))) continue;
+        ++rowRescored[static_cast<std::size_t>(wy)];
+        if (!scoreWindow(lc.grid, lc.blocks, wx, static_cast<int>(wy),
+                         features, row[wx])) {
+          row[wx] = kLostScore;
+          ++rowLost[static_cast<std::size_t>(wy)];
+        }
+      }
+    };
+    if (params_.parallelScan) {
+      parallelFor(0, lc.spanY, rescanRow);
+    } else {
+      for (int wy = 0; wy < lc.spanY; ++wy) rescanRow(wy);
+    }
+    for (long r : rowRescored) rescored += r;
+    for (long l : rowLost) lost += l;
+  };
+
   long levelIndex = -1;
   bool abandoned = false;  // the deadline/cancel hook fired mid-frame
   for (TemporalCache::Level& lc : cache.levels) {
@@ -516,9 +514,9 @@ std::vector<vision::Detection> GridDetector::detectFrameTemporal(
       const long levelWindows =
           static_cast<long>(lc.spanX) * static_cast<long>(lc.spanY);
       PCNN_SPAN_ARG("detect.scan", "windows", levelWindows);
-      long lost = 0;
-      scoreAllWindows(*featureExtractor_, scorer_, blockPath, lc.grid,
-                      lc.blocks, lc, params_.parallelScan, lost);
+      lc.scores.assign(static_cast<std::size_t>(levelWindows), kLostScore);
+      long rescored = 0, lost = 0;
+      rescoreWindows(lc, [](int, int) { return true; }, rescored, lost);
       if (lost > 0) {
         metrics.windowsLost.add(lost);
         if (report != nullptr) report->windowsLost += lost;
@@ -660,40 +658,12 @@ std::vector<vision::Detection> GridDetector::detectFrameTemporal(
       return sum > 0;
     };
 
-    // Rescore only the dirty windows; rows are disjoint score slices, so
-    // the parallel loop is deterministic for any thread count.
-    std::vector<long> rowRescored(static_cast<std::size_t>(lc.spanY), 0);
-    std::vector<long> rowLost(static_cast<std::size_t>(lc.spanY), 0);
-    auto rescanRow = [&](long wy) {
-      float* row =
-          lc.scores.data() + static_cast<std::size_t>(wy) * lc.spanX;
-      for (int wx = 0; wx < lc.spanX; ++wx) {
-        if (!windowDirty(wx, static_cast<int>(wy))) continue;
-        ++rowRescored[static_cast<std::size_t>(wy)];
-        try {
-          const std::vector<float> features =
-              blockPath ? featureExtractor_->windowFromBlocks(
-                              lc.blocks, wx, static_cast<int>(wy))
-                        : featureExtractor_->windowFromGrid(
-                              lc.grid, wx, static_cast<int>(wy));
-          row[wx] = scorer_(features);
-        } catch (const std::exception&) {
-          row[wx] = kLostScore;
-          ++rowLost[static_cast<std::size_t>(wy)];
-        }
-      }
-    };
+    // Rescore only the dirty windows.
+    long rescored = 0, lost = 0;
     {
       PCNN_SPAN_ARG("detect.scan", "windows", levelWindows);
-      if (params_.parallelScan) {
-        parallelFor(0, lc.spanY, rescanRow);
-      } else {
-        for (int wy = 0; wy < lc.spanY; ++wy) rescanRow(wy);
-      }
+      rescoreWindows(lc, windowDirty, rescored, lost);
     }
-    long rescored = 0, lost = 0;
-    for (long r : rowRescored) rescored += r;
-    for (long l : rowLost) lost += l;
     if (lost > 0) {
       metrics.windowsLost.add(lost);
       if (report != nullptr) report->windowsLost += lost;

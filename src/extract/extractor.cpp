@@ -103,13 +103,21 @@ hog::BlockGrid FeatureExtractor::prepareBlocks(
 
 std::vector<float> FeatureExtractor::windowFromBlocks(
     const hog::BlockGrid& blocks, int cx0, int cy0) const {
+  std::vector<float> features;
+  windowFromBlocksInto(blocks, cx0, cy0, features);
+  return features;
+}
+
+void FeatureExtractor::windowFromBlocksInto(const hog::BlockGrid& blocks,
+                                            int cx0, int cy0,
+                                            std::vector<float>& out) const {
   if (layout_ != FeatureLayout::kBlockNorm) {
     throw std::logic_error(
         "windowFromBlocks: only block-norm extractors have a block grid");
   }
-  return blockAssembler_.windowDescriptorFromBlocks(blocks, cx0, cy0,
-                                                    windowCellsX_,
-                                                    windowCellsY_);
+  blockAssembler_.windowDescriptorFromBlocksInto(blocks, cx0, cy0,
+                                                 windowCellsX_, windowCellsY_,
+                                                 out);
 }
 
 std::vector<float> FeatureExtractor::windowFeatures(

@@ -152,6 +152,11 @@ class FeatureExtractor {
   std::vector<float> windowFromBlocks(const hog::BlockGrid& blocks, int cx0,
                                       int cy0) const;
 
+  /// windowFromBlocks into a caller-owned buffer, resized to the window's
+  /// feature length: a buffer reused across windows is never reallocated.
+  void windowFromBlocksInto(const hog::BlockGrid& blocks, int cx0, int cy0,
+                            std::vector<float>& out) const;
+
   /// Features of one standalone window (== windowFromGrid(cellGrid(w),0,0)
   /// by default; backends with a native per-window path override to share
   /// it, and the conformance suite checks the two stay bitwise-identical).

@@ -184,21 +184,25 @@ long HogExtractor::refreshBlockRect(const CellGrid& grid, BlockGrid& blocks,
   return static_cast<long>(bx1 - bx0) * (by1 - by0);
 }
 
-std::vector<float> HogExtractor::windowDescriptorFromBlocks(
+void HogExtractor::windowDescriptorFromBlocksInto(
     const BlockGrid& blocks, int cx0, int cy0, int windowCellsX,
-    int windowCellsY) const {
+    int windowCellsY, std::vector<float>& out) const {
   const int bc = params_.blockCells;
   const int wbx = windowCellsX - bc + 1;
   const int wby = windowCellsY - bc + 1;
-  std::vector<float> out;
-  if (wbx <= 0 || wby <= 0) return out;
+  if (wbx <= 0 || wby <= 0) {
+    out.clear();
+    return;
+  }
   if (cx0 < 0 || cy0 < 0 || cx0 + wbx > blocks.blocksX ||
       cy0 + wby > blocks.blocksY) {
     throw std::invalid_argument(
-        "windowDescriptorFromBlocks: window exceeds block grid");
+        "windowDescriptorFromBlocksInto: window exceeds block grid");
   }
   // With stride 1 the window's blocks are wby contiguous runs of wbx
-  // blocks in the level-wide grid: a straight row-wise copy.
+  // blocks in the level-wide grid: a straight row-wise copy. A reused
+  // buffer already has the right size, so resize neither allocates nor
+  // zero-fills.
   out.resize(static_cast<std::size_t>(wbx) * wby * blocks.blockLen);
   const std::size_t rowLen = static_cast<std::size_t>(wbx) * blocks.blockLen;
   float* dst = out.data();
@@ -206,7 +210,6 @@ std::vector<float> HogExtractor::windowDescriptorFromBlocks(
     std::memcpy(dst, blocks.block(cx0, cy0 + by), sizeof(float) * rowLen);
     dst += rowLen;
   }
-  return out;
 }
 
 std::vector<float> HogExtractor::windowDescriptor(

@@ -116,13 +116,16 @@ class HogExtractor {
   BlockGrid blockGridFromCells(const CellGrid& grid) const;
 
   /// Descriptor of the window whose top-left cell is (cx0, cy0), sliced
-  /// out of a precomputed block grid. Bitwise-identical to
-  /// windowDescriptorFromGrid over the corresponding cell grid; the block
-  /// normalization work is amortized across all windows sharing the grid.
-  std::vector<float> windowDescriptorFromBlocks(const BlockGrid& blocks,
-                                                int cx0, int cy0,
-                                                int windowCellsX,
-                                                int windowCellsY) const;
+  /// out of a precomputed block grid into a caller-owned buffer, resized
+  /// to the descriptor length (cleared when the window holds no block).
+  /// Bitwise-identical to windowDescriptorFromGrid over the corresponding
+  /// cell grid; the block normalization work is amortized across all
+  /// windows sharing the grid, and a scan that reuses one buffer per row
+  /// assembles windows without allocating.
+  void windowDescriptorFromBlocksInto(const BlockGrid& blocks, int cx0,
+                                      int cy0, int windowCellsX,
+                                      int windowCellsY,
+                                      std::vector<float>& out) const;
 
   /// Re-assembles (and re-normalizes) the blocks [bx0, bx1) x [by0, by1)
   /// of a grid previously built by blockGridFromCells from the (updated)

@@ -6,8 +6,36 @@
 #include <stdexcept>
 
 #include "common/rng.hpp"
+#include "common/target_clones.hpp"
 
 namespace pcnn::svm {
+
+namespace {
+
+/// w.x as 8 strided double lanes -- lane k sums the terms d = k (mod 8) in
+/// ascending d -- reduced as ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)). This
+/// order is the definition of the score (DESIGN.md 5j): the lanes are
+/// independent chains both clones vectorize without reassociating, and
+/// the file is built with -ffp-contract=off so neither clone fuses a
+/// multiply-add. Every clone therefore returns the same bits.
+PCNN_TARGET_CLONES
+double laneDot(const double* w, const float* x, std::size_t n) {
+  constexpr std::size_t kLanes = 8;
+  double lane[kLanes] = {};
+  std::size_t d = 0;
+  for (; d + kLanes <= n; d += kLanes) {
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      lane[k] += w[d + k] * static_cast<double>(x[d + k]);
+    }
+  }
+  for (std::size_t k = 0; d + k < n; ++k) {
+    lane[k] += w[d + k] * static_cast<double>(x[d + k]);
+  }
+  return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+         ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+}
+
+}  // namespace
 
 LinearSvm::LinearSvm(const SvmParams& params) : params_(params) {
   if (params.C <= 0.0) {
@@ -88,14 +116,13 @@ void LinearSvm::train(const std::vector<std::vector<float>>& features,
 }
 
 double LinearSvm::decision(const std::vector<float>& features) const {
+  if (!trained()) {
+    throw std::logic_error("LinearSvm::decision: model is not trained");
+  }
   if (features.size() != weights_.size()) {
     throw std::invalid_argument("LinearSvm::decision: dimension mismatch");
   }
-  double acc = bias_;
-  for (std::size_t d = 0; d < features.size(); ++d) {
-    acc += weights_[d] * static_cast<double>(features[d]);
-  }
-  return acc;
+  return laneDot(weights_.data(), features.data(), features.size()) + bias_;
 }
 
 double LinearSvm::accuracy(const std::vector<std::vector<float>>& features,

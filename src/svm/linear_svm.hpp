@@ -28,7 +28,9 @@ class LinearSvm {
   void train(const std::vector<std::vector<float>>& features,
              const std::vector<int>& labels);
 
-  /// Decision value w.x + b (positive = person).
+  /// Decision value w.x + b (positive = person), with w.x summed in the
+  /// fixed 8-lane order of DESIGN.md 5j. Throws std::logic_error on an
+  /// untrained model and std::invalid_argument on a dimension mismatch.
   double decision(const std::vector<float>& features) const;
 
   int predict(const std::vector<float>& features) const {

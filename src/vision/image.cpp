@@ -50,15 +50,47 @@ void resizeBilinearInto(const Image& src, Image& dst, int x0, int y0, int x1,
   y0 = std::max(0, y0);
   x1 = std::min(dst.width(), x1);
   y1 = std::min(dst.height(), y1);
+  if (x0 >= x1 || y0 >= y1) return;
   const float sx = static_cast<float>(src.width()) / dst.width();
   const float sy = static_cast<float>(src.height()) / dst.height();
+  // Sample at the centre of the destination pixel mapped into source
+  // coordinates; -0.5 keeps the mapping symmetric. The taps depend on x
+  // alone or y alone, so they are tabulated once per call instead of once
+  // per pixel. Each pixel then evaluates sampleBilinear's exact float
+  // expressions on the same clamped taps, which keeps the output bitwise
+  // equal to per-pixel sampling (DESIGN.md 5j).
+  auto tap = [](float s, int size, int& lo, int& hi) {
+    const int i = static_cast<int>(std::floor(s));
+    lo = std::clamp(i, 0, size - 1);
+    hi = std::clamp(i + 1, 0, size - 1);
+    return s - static_cast<float>(i);
+  };
+  const int cols = x1 - x0;
+  std::vector<int> xa(static_cast<std::size_t>(cols));
+  std::vector<int> xb(static_cast<std::size_t>(cols));
+  std::vector<float> fx(static_cast<std::size_t>(cols));
+  for (int i = 0; i < cols; ++i) {
+    const float srcX = (static_cast<float>(x0 + i) + 0.5f) * sx - 0.5f;
+    fx[i] = tap(srcX, src.width(), xa[i], xb[i]);
+  }
+  const float* pixels = src.data().data();
+  const std::size_t stride = static_cast<std::size_t>(src.width());
   for (int y = y0; y < y1; ++y) {
-    for (int x = x0; x < x1; ++x) {
-      // Sample at the centre of the destination pixel mapped into source
-      // coordinates; -0.5 keeps the mapping symmetric.
-      const float srcX = (static_cast<float>(x) + 0.5f) * sx - 0.5f;
-      const float srcY = (static_cast<float>(y) + 0.5f) * sy - 0.5f;
-      dst.at(x, y) = src.sampleBilinear(srcX, srcY);
+    const float srcY = (static_cast<float>(y) + 0.5f) * sy - 0.5f;
+    int ya = 0;
+    int yb = 0;
+    const float fy = tap(srcY, src.height(), ya, yb);
+    const float* rowA = pixels + static_cast<std::size_t>(ya) * stride;
+    const float* rowB = pixels + static_cast<std::size_t>(yb) * stride;
+    float* out = &dst.at(x0, y);
+    for (int i = 0; i < cols; ++i) {
+      const float v00 = rowA[xa[i]];
+      const float v10 = rowA[xb[i]];
+      const float v01 = rowB[xa[i]];
+      const float v11 = rowB[xb[i]];
+      const float top = v00 + fx[i] * (v10 - v00);
+      const float bot = v01 + fx[i] * (v11 - v01);
+      out[i] = top + fy * (bot - top);
     }
   }
 }

@@ -3,8 +3,11 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "extract/registry.hpp"
 #include "hog/fixed_point.hpp"
 #include "hog/gradient.hpp"
 #include "hog/hog.hpp"
@@ -164,6 +167,79 @@ TEST(HogExtractor, L2NormalizedBlocksHaveUnitOrZeroNorm) {
     EXPECT_TRUE(norm < 1e-3 || std::abs(norm - 1.0) < 1e-2)
         << "block norm " << norm;
   }
+}
+
+/// Cell grid of seeded noise, so every assembled value is distinct.
+CellGrid noiseGrid(int cellsX, int cellsY, int bins, std::uint64_t seed) {
+  CellGrid grid;
+  grid.cellsX = cellsX;
+  grid.cellsY = cellsY;
+  grid.bins = bins;
+  grid.data.resize(static_cast<std::size_t>(cellsX) * cellsY * bins);
+  pcnn::Rng rng(seed);
+  for (float& v : grid.data) v = static_cast<float>(rng.uniform());
+  return grid;
+}
+
+/// Buffers an ...Into call may be handed: empty, too small, too large
+/// (each pre-filled with a sentinel that must not survive).
+std::vector<std::vector<float>> startingBuffers() {
+  return {{}, std::vector<float>(5, -9.0f), std::vector<float>(20000, -9.0f)};
+}
+
+TEST(WindowAssembly, IntoMatchesByValueForAnyStartingBuffer) {
+  // The ...Into assemblers write exactly the window's by-value
+  // descriptor, whatever the caller's buffer held before, for the hog
+  // assembler and for the block-norm extractor.
+  const CellGrid grid = noiseGrid(11, 19, 9, 3);
+  const HogExtractor hog;
+  const BlockGrid blocks = hog.blockGridFromCells(grid);
+  const auto blockNorm =
+      extract::makeExtractor("hog", extract::FeatureLayout::kBlockNorm);
+  const BlockGrid extractorBlocks = blockNorm->prepareBlocks(grid);
+  for (int cy = 0; cy + 16 <= grid.cellsY; ++cy) {
+    for (int cx = 0; cx + 8 <= grid.cellsX; ++cx) {
+      for (std::vector<float> buffer : startingBuffers()) {
+        hog.windowDescriptorFromBlocksInto(blocks, cx, cy, 8, 16, buffer);
+        EXPECT_EQ(buffer, hog.windowDescriptorFromGrid(grid, cx, cy, 8, 16));
+      }
+      for (std::vector<float> buffer : startingBuffers()) {
+        blockNorm->windowFromBlocksInto(extractorBlocks, cx, cy, buffer);
+        EXPECT_EQ(buffer, blockNorm->windowFromBlocks(extractorBlocks, cx, cy));
+        EXPECT_EQ(buffer, blockNorm->windowFromGrid(grid, cx, cy));
+      }
+    }
+  }
+  // A window too small to hold a block assembles to nothing.
+  std::vector<float> buffer(7, 1.0f);
+  hog.windowDescriptorFromBlocksInto(blocks, 0, 0, 1, 1, buffer);
+  EXPECT_TRUE(buffer.empty());
+}
+
+TEST(WindowAssembly, OutOfRangeWindowsThrow) {
+  const CellGrid grid = noiseGrid(9, 17, 9, 4);
+  const HogExtractor hog;
+  const BlockGrid blocks = hog.blockGridFromCells(grid);
+  const auto blockNorm =
+      extract::makeExtractor("hog", extract::FeatureLayout::kBlockNorm);
+  const auto flatCell =
+      extract::makeExtractor("hog", extract::FeatureLayout::kFlatCell);
+  const BlockGrid extractorBlocks = blockNorm->prepareBlocks(grid);
+  std::vector<float> buffer;
+  for (const auto& [cx, cy] : {std::pair{2, 0}, std::pair{0, 2},
+                               std::pair{-1, 0}, std::pair{0, -1}}) {
+    EXPECT_THROW(hog.windowDescriptorFromBlocksInto(blocks, cx, cy, 8, 16,
+                                                    buffer),
+                 std::invalid_argument);
+    EXPECT_THROW(blockNorm->windowFromBlocksInto(extractorBlocks, cx, cy,
+                                                 buffer),
+                 std::invalid_argument);
+    EXPECT_THROW(blockNorm->windowFromBlocks(extractorBlocks, cx, cy),
+                 std::invalid_argument);
+  }
+  // A flat-cell extractor has no block grid to slice.
+  EXPECT_THROW(flatCell->windowFromBlocksInto(extractorBlocks, 0, 0, buffer),
+               std::logic_error);
 }
 
 TEST(HogExtractor, CellDescriptorIsFlatGrid) {

@@ -5,6 +5,7 @@
 // degradation paths.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <sstream>
@@ -19,6 +20,7 @@
 #include "eedn/serialize.hpp"
 #include "extract/registry.hpp"
 #include "hog/hog.hpp"
+#include "obs/obs.hpp"
 #include "parrot/parrot.hpp"
 #include "svm/serialize.hpp"
 #include "tn/faults.hpp"
@@ -528,6 +530,77 @@ TEST(GridDetector, SkipsPoisonedLevelsAndReportsDegradation) {
   EXPECT_GT(healthyRaw.size(), degradedRaw.size());
   EXPECT_FALSE(healthyReport.degraded());
   EXPECT_EQ(healthyReport.summary(), "healthy");
+}
+
+TEST(GridDetector, LostWindowsAreTalliedOnEveryScanPath) {
+  // A scorer that throws on a content-selected subset of windows: each
+  // throw must lose exactly that window -- counted in the report and in
+  // detect.windows_lost -- on the single-scene scan, the temporal path's
+  // full recompute, and its dirty-window rescan, at any thread count.
+  const bool metricsWere = obs::metricsEnabled();
+  obs::setMetricsEnabled(true);
+  const int oldThreads = threadCount();
+  obs::Counter& lostCounter = obs::counter("detect.windows_lost");
+  std::atomic<long> throws{0};
+  std::atomic<long> calls{0};
+  auto scorer = [&](const std::vector<float>& f) {
+    calls.fetch_add(1);
+    if (static_cast<int>(f[5] * 1000.0f) % 3 == 0) {
+      throws.fetch_add(1);
+      throw std::runtime_error("scorer rejects this window");
+    }
+    return 1.0f;
+  };
+  extract::ExtractorOptions options;
+  options.layout = extract::FeatureLayout::kBlockNorm;
+  core::GridDetectorParams params;
+  params.pyramid.maxLevels = 2;
+  params.temporal.smooth = false;
+  vision::Image scene(96, 160);
+  for (int y = 0; y < scene.height(); ++y) {
+    for (int x = 0; x < scene.width(); ++x) {
+      scene.at(x, y) = static_cast<float>((x * 7 + y * 3) % 23) / 23.0f;
+    }
+  }
+  vision::Image moved = scene;
+  for (int y = 40; y < 72; ++y) {
+    for (int x = 16; x < 48; ++x) moved.at(x, y) = 1.0f - moved.at(x, y);
+  }
+
+  for (int threads : {1, 4}) {
+    setThreadCount(threads);
+    core::GridDetector detector(
+        params, extract::makeExtractor("hog", options), scorer);
+    throws = 0;
+    calls = 0;
+    long counterBefore = lostCounter.value();
+    core::DegradationReport report;
+    const auto raw = detector.detectRaw(scene, -1e9f, &report);
+    EXPECT_GT(throws.load(), 0);
+    EXPECT_LT(throws.load(), calls.load());
+    EXPECT_EQ(report.windowsLost, throws.load());
+    EXPECT_EQ(lostCounter.value() - counterBefore, throws.load());
+    EXPECT_EQ(static_cast<long>(raw.size()), calls.load() - throws.load());
+
+    // Frame 0 scores every window; frame 1 rescans the dirty ones only.
+    std::vector<core::DegradationReport> reports;
+    for (const vision::Image* frame : {&scene, &moved}) {
+      throws = 0;
+      calls = 0;
+      counterBefore = lostCounter.value();
+      const core::BatchDetectResult result =
+          detector.detectBatch({*frame}, core::BatchOptions{}, &reports);
+      ASSERT_EQ(reports.size(), 1u);
+      const core::FrameStats& stats = result.frames.at(0).stats;
+      EXPECT_EQ(stats.fullRecompute, frame == &scene);
+      EXPECT_EQ(stats.windowsRescored, calls.load());
+      EXPECT_GT(throws.load(), 0);
+      EXPECT_EQ(reports[0].windowsLost, throws.load());
+      EXPECT_EQ(lostCounter.value() - counterBefore, throws.load());
+    }
+  }
+  setThreadCount(oldThreads);
+  obs::setMetricsEnabled(metricsWere);
 }
 
 /// Extractor that fails on specific "poisoned" windows (bright first

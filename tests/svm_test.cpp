@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 #include "common/rng.hpp"
@@ -88,6 +89,61 @@ TEST(LinearSvm, DecisionDimensionCheck) {
   LinearSvm svm;
   svm.train({{1.0f, 0.0f}, {-1.0f, 0.0f}}, {1, -1});
   EXPECT_THROW(svm.decision({1.0f}), std::invalid_argument);
+}
+
+TEST(LinearSvm, UntrainedDecisionThrows) {
+  // An untrained model has no hyperplane: scoring must fail loudly rather
+  // than return the zero bias and call every window a person.
+  LinearSvm svm;
+  ASSERT_FALSE(svm.trained());
+  EXPECT_THROW(svm.decision({}), std::logic_error);
+  EXPECT_THROW(svm.decision({1.0f}), std::logic_error);
+  EXPECT_THROW(svm.predict({}), std::logic_error);
+  svm.setModel({}, 0.5);
+  EXPECT_THROW(svm.decision({}), std::logic_error);
+}
+
+/// The documented score order (DESIGN.md 5j), one scalar operation at a
+/// time: 8 strided double lanes, lane k summing the terms d = k (mod 8) in
+/// ascending d, the fixed reduction tree, then the bias.
+double referenceDecision(const std::vector<double>& w,
+                         const std::vector<float>& x, double bias) {
+  double lane[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+  for (std::size_t d = 0; d < w.size(); ++d) {
+    const double product = w[d] * static_cast<double>(x[d]);
+    lane[d % 8] = lane[d % 8] + product;
+  }
+  const double l01 = lane[0] + lane[1];
+  const double l23 = lane[2] + lane[3];
+  const double l45 = lane[4] + lane[5];
+  const double l67 = lane[6] + lane[7];
+  const double lo = l01 + l23;
+  const double hi = l45 + l67;
+  const double dot = lo + hi;
+  return dot + bias;
+}
+
+TEST(LinearSvm, DecisionIsTheDocumentedLaneOrderBitwise) {
+  // decision runs its x86-64-v3 clone on an AVX2 host, while this file is
+  // built without clones: any FMA contraction or different reduction in
+  // the kernel shows up as a last-bit mismatch here.
+  Rng rng(42);
+  for (std::size_t dim : {1u, 7u, 8u, 9u, 3780u, 7560u, 7563u}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<double> w(dim);
+      for (double& v : w) v = rng.normal(0.0, 0.3);
+      const double bias = rng.uniform(-2.0, 2.0);
+      LinearSvm svm;
+      svm.setModel(w, bias);
+      std::vector<float> x(dim);
+      for (float& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+      const double got = svm.decision(x);
+      const double want = referenceDecision(w, x, bias);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+          << "dim " << dim << " trial " << trial << ": " << got
+          << " != " << want;
+    }
+  }
 }
 
 TEST(Serialize, RoundTripPreservesDecisions) {
