@@ -40,13 +40,14 @@ if [[ "${PCNN_SANITIZE:-ON}" == "ON" ]]; then
   ctest --test-dir "$BUILD_DIR-asan" -L 'fast|bundle|video|serve' \
     --output-on-failure -j"$(nproc)"
 
-  # ThreadSanitizer tree over the fast + serve labels: the serving layer
-  # hands frames, promises, and ladder state between the admission threads
-  # and the worker, so data races there must fail CI, not surface as
+  # ThreadSanitizer tree over the fast, serve and video labels: the serving
+  # layer hands frames, promises, and ladder state between the admission
+  # threads and the worker, and both detector scan paths score window rows
+  # on the pool, so data races there must fail CI, not surface as
   # corrupted responses under production load.
   cmake -B "$BUILD_DIR-tsan" -S . -DPCNN_WERROR=ON -DPCNN_SANITIZE=thread
   cmake --build "$BUILD_DIR-tsan" -j"$(nproc)"
-  ctest --test-dir "$BUILD_DIR-tsan" -L 'fast|serve' \
+  ctest --test-dir "$BUILD_DIR-tsan" -L 'fast|serve|video' \
     --output-on-failure -j"$(nproc)"
 fi
 
@@ -254,4 +255,4 @@ print(f"perfbench smoke: scene-vga-hog traced, {result['attempted']} frames, "
       "all checks ok")
 EOF
 
-echo "ci.sh: build + tests (incl. scalar-dispatch + dense-engine + asan fast|bundle|video|serve and tsan fast|serve re-runs + obs, stream, prom, flight, bundle, video, serve & perfbench smoke) passed"
+echo "ci.sh: build + tests (incl. scalar-dispatch + dense-engine + asan fast|bundle|video|serve and tsan fast|serve|video re-runs + obs, stream, prom, flight, bundle, video, serve & perfbench smoke) passed"

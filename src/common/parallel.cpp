@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -37,8 +39,13 @@ int defaultThreadCount() {
   return env::intValue("PCNN_NUM_THREADS", hwThreads, 1, 1024);
 }
 
-/// A worker pulls chunk indices from the shared job via fetch_add; the
-/// caller participates too, so a pool of size N holds N-1 threads.
+/// Workers claim the published job's chunk indices from one packed atomic
+/// word -- (job generation << 32) | next unclaimed index -- by
+/// compare-and-swap; the caller participates too, so a pool of size N
+/// holds N-1 threads. A claim succeeds only while the word still carries
+/// the claimant's generation and an index below that job's size, so a
+/// thread that wakes late can never claim (and run) a chunk of a later
+/// job against an earlier job's size (DESIGN.md Section 5k).
 class ThreadPool {
  public:
   static ThreadPool& instance() {
@@ -67,6 +74,9 @@ class ThreadPool {
 
   void run(long numChunks, const std::function<void(long)>& chunk) {
     if (numChunks <= 0) return;
+    if (numChunks > kMaxChunks) {
+      throw std::length_error("parallelFor: more than 2^32-1 chunks");
+    }
     // Nested parallelFor (a body that itself calls parallelFor) and the
     // single-threaded configuration both run inline: correct, deterministic
     // and deadlock-free.
@@ -94,23 +104,21 @@ class ThreadPool {
                       std::memory_order_relaxed);
     PCNN_SPAN_ARG("pool.job", "chunks", numChunks);
     std::exception_ptr firstError;
+    Job job{0, numChunks, &chunk};
     {
       std::lock_guard<std::mutex> lock(mutex_);
       jobChunk_ = &chunk;
       jobError_ = &firstError;
-      jobSize_.store(numChunks, std::memory_order_relaxed);
+      jobSize_ = numChunks;
       pending_.store(numChunks, std::memory_order_relaxed);
       ++generation_;
-      // Release-store last: a worker that claims a chunk index below
-      // numChunks is guaranteed (acquire on the claim) to see every field
-      // written above. A straggler from the previous job reads a counter
-      // value >= the old job size and exits without touching them.
-      nextChunk_.store(0, std::memory_order_release);
+      job.tag = tagOf(generation_);
+      claim_.store(job.tag, std::memory_order_release);
     }
     metrics.queueDepth.set(static_cast<double>(numChunks));
     wake_.notify_all();
     insideJob_ = true;
-    drainChunks();
+    drainChunks(job);
     insideJob_ = false;
     {
       // Wait until every chunk has finished (not merely been claimed).
@@ -126,12 +134,29 @@ class ThreadPool {
   }
 
  private:
+  /// Chunk indices live in the low 32 bits of the claim word.
+  static constexpr long kMaxChunks = 0xffffffffL;
+  static constexpr std::uint64_t kIndexMask = 0xffffffffULL;
+
+  /// A claimant's snapshot of one job: its tag (generation in the high
+  /// word), its size, and its body -- all taken from the same publication.
+  struct Job {
+    std::uint64_t tag;
+    long size;
+    const std::function<void(long)>* chunk;
+  };
+
+  static std::uint64_t tagOf(std::uint64_t generation) {
+    return generation << 32;  // the generation's low 32 bits
+  }
+
   static thread_local bool insideJob_;
 
   void workerLoop() {
     insideJob_ = true;  // workers never re-dispatch to the pool
     std::uint64_t seenGeneration = 0;
     while (true) {
+      Job job{};
       {
         std::unique_lock<std::mutex> lock(mutex_);
         wake_.wait(lock, [&] {
@@ -139,20 +164,32 @@ class ThreadPool {
         });
         if (stopping_) return;
         seenGeneration = generation_;
+        // The job fields and the generation are published under this
+        // mutex, so the snapshot is one job's. If that job has already
+        // finished, its claim index sits at its size (or the word carries
+        // a later generation) and the first claim fails.
+        job = Job{tagOf(generation_), jobSize_, jobChunk_};
       }
-      drainChunks();
+      drainChunks(job);
     }
   }
 
-  void drainChunks() {
+  /// Claims and runs chunks of `job` until its indices are exhausted or a
+  /// later job has been published.
+  void drainChunks(const Job& job) {
     bool firstClaim = true;
+    std::uint64_t word = claim_.load(std::memory_order_acquire);
     while (true) {
-      const long c = nextChunk_.fetch_add(1, std::memory_order_acquire);
-      const long size = jobSize_.load(std::memory_order_relaxed);
-      if (c >= size) return;
-      const long unclaimed = size - (c + 1);
-      PoolMetrics::instance().queueDepth.set(
-          static_cast<double>(unclaimed > 0 ? unclaimed : 0));
+      if ((word & ~kIndexMask) != job.tag) return;  // a later job's word
+      const long c = static_cast<long>(word & kIndexMask);
+      if (c >= job.size) return;
+      if (!claim_.compare_exchange_weak(word, word + 1,
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_acquire)) {
+        continue;  // `word` now holds the current value; re-check it
+      }
+      const long unclaimed = job.size - (c + 1);
+      PoolMetrics::instance().queueDepth.set(static_cast<double>(unclaimed));
       // Queue latency (job publish -> this thread's first claim) and busy
       // time per chunk; both only measured while metrics are on, and the
       // job-start stamp doubles as the job's measurement flag so a toggle
@@ -169,7 +206,7 @@ class ThreadPool {
         }
       }
       try {
-        (*jobChunk_)(c);
+        (*job.chunk)(c);
       } catch (...) {
         std::lock_guard<std::mutex> lock(mutex_);
         if (jobError_ && !*jobError_) *jobError_ = std::current_exception();
@@ -183,6 +220,7 @@ class ThreadPool {
         std::lock_guard<std::mutex> lock(mutex_);
         done_.notify_all();
       }
+      word = claim_.load(std::memory_order_acquire);
     }
   }
 
@@ -203,10 +241,12 @@ class ThreadPool {
   bool stopping_ = false;
   std::uint64_t generation_ = 0;
 
+  // The in-flight job, published under mutex_.
   const std::function<void(long)>* jobChunk_ = nullptr;
   std::exception_ptr* jobError_ = nullptr;
-  std::atomic<long> jobSize_{0};
-  std::atomic<long> nextChunk_{0};
+  long jobSize_ = 0;
+  /// (generation << 32) | next unclaimed chunk index of the latest job.
+  std::atomic<std::uint64_t> claim_{0};
   std::atomic<long> pending_{0};
   /// Current job's publish time in whole microseconds (-1 = unmeasured).
   std::atomic<long> jobStartUs_{-1};

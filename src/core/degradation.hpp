@@ -47,4 +47,24 @@ struct DegradationReport {
   std::string summary() const;
 };
 
+/// Attributes to `report` the simulator fault events raised while this
+/// scope is alive (the tn::globalFaultCounts() delta across it). A null
+/// report costs nothing.
+class FaultAttribution {
+ public:
+  explicit FaultAttribution(DegradationReport* report)
+      : report_(report),
+        before_(report != nullptr ? tn::globalFaultCounts()
+                                  : tn::FaultCounts{}) {}
+  ~FaultAttribution() {
+    if (report_ != nullptr) report_->faults = tn::globalFaultCounts() - before_;
+  }
+  FaultAttribution(const FaultAttribution&) = delete;
+  FaultAttribution& operator=(const FaultAttribution&) = delete;
+
+ private:
+  DegradationReport* report_;
+  tn::FaultCounts before_;
+};
+
 }  // namespace pcnn::core

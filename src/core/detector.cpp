@@ -1,5 +1,13 @@
+// GridDetector's single-scene path and the level scan core both paths
+// share: the level gate, the degraded-level skip, the full level scan into
+// a score plane, the row-parallel window rescoring, and the one emitter
+// that turns a score plane into detections. The temporal path
+// (detector_batch.cpp) reuses every piece, so the two paths cannot drift
+// apart.
+
 #include "core/detector.hpp"
 
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -11,7 +19,8 @@ namespace pcnn::core {
 
 namespace {
 
-/// Scan-stage instruments shared by every detector instance.
+/// Scan-stage instruments shared by every detector instance and both scan
+/// paths.
 struct DetectMetrics {
   obs::Counter& windowsScanned = obs::counter("windows_scanned");
   obs::Counter& pyramidLevels = obs::counter("pyramid_levels");
@@ -30,16 +39,12 @@ struct DetectMetrics {
   }
 };
 
-/// Windows a level image would contribute, estimated from its dimensions
-/// (used when the level's grid never materialized).
-long expectedLevelWindows(const vision::Image& image,
-                          const GridDetectorParams& params) {
-  const int cellsX = image.width() / params.cellSize;
-  const int cellsY = image.height() / params.cellSize;
-  const long spanX = cellsX - params.windowCellsX + 1;
-  const long spanY = cellsY - params.windowCellsY + 1;
-  if (spanX <= 0 || spanY <= 0) return 0;
-  return spanX * spanY;
+/// Score-plane value of a window whose assembly or scoring failed: below
+/// every threshold, so the emitter drops it.
+constexpr float kLostScore = -std::numeric_limits<float>::infinity();
+
+long levelWindows(const auto& level) {
+  return static_cast<long>(level.spanX) * static_cast<long>(level.spanY);
 }
 
 }  // namespace
@@ -56,8 +61,143 @@ GridDetector::GridDetector(const GridDetectorParams& params,
   cellGridUs_ = &obs::histogram("extract." + featureExtractor_->name() +
                                 ".cell_grid_us");
   params_.cellSize = featureExtractor_->cellSize();
-  params_.windowCellsX = featureExtractor_->windowCellsX();
-  params_.windowCellsY = featureExtractor_->windowCellsY();
+}
+
+std::vector<GridDetector::Level> GridDetector::buildLevels(
+    const vision::Image& scene) const {
+  vision::PyramidParams pp = params_.pyramid;
+  pp.minWidth = featureExtractor_->windowCellsX() * params_.cellSize;
+  pp.minHeight = featureExtractor_->windowCellsY() * params_.cellSize;
+  std::vector<vision::PyramidLevel> pyramid;
+  {
+    PCNN_SPAN("detect.pyramid");
+    pyramid = vision::buildPyramid(scene, pp);
+  }
+  std::vector<Level> levels(pyramid.size());
+  for (std::size_t li = 0; li < pyramid.size(); ++li) {
+    Level& level = levels[li];
+    level.image = std::move(pyramid[li].image);
+    level.scale = pyramid[li].scale;
+    level.spanX = level.image.width() / params_.cellSize -
+                  featureExtractor_->windowCellsX() + 1;
+    level.spanY = level.image.height() / params_.cellSize -
+                  featureExtractor_->windowCellsY() + 1;
+  }
+  return levels;
+}
+
+bool GridDetector::admitLevel(int levelIndex, Level& level,
+                              const DetectOptions& options, bool& abandoned,
+                              DegradationReport* report) const {
+  DetectMetrics& metrics = DetectMetrics::instance();
+  // Deliberate shedding (the serving layer's coarser-pyramid rung): the
+  // finest levels are the most expensive and are given up first,
+  // attributed as kUnavailable so the caller can see exactly what quality
+  // was traded away. Deadline enforcement between pyramid levels: once the
+  // hook fires, every remaining level is abandoned and attributed;
+  // detections from completed levels survive. A skipped level's grids go
+  // stale against a live stream, so it is invalidated.
+  Status status;
+  if (levelIndex < options.skipFinestLevels) {
+    metrics.levelsShed.add();
+    status = Status::Unavailable("detect: level shed by caller");
+  } else {
+    if (!abandoned && options.cancel && options.cancel()) abandoned = true;
+    if (!abandoned) return true;
+    metrics.levelsExpired.add();
+    status = Status::DeadlineExceeded("detect: level abandoned past deadline");
+  }
+  level.valid = false;
+  if (report != nullptr) {
+    report->addSkip(levelIndex, levelWindows(level), std::move(status));
+  }
+  return false;
+}
+
+void GridDetector::skipLevel(int levelIndex, Level& level, Status status,
+                             DegradationReport* report) const {
+  PCNN_SPAN_ARG("detect.level.degraded", "level", levelIndex);
+  obs::noteFaultEvent("detect.level.degraded");
+  DetectMetrics& metrics = DetectMetrics::instance();
+  metrics.levelsDegraded.add();
+  metrics.windowsLost.add(levelWindows(level));
+  level.valid = false;  // rebuilt from scratch when next scanned
+  if (report != nullptr) {
+    report->addSkip(levelIndex, levelWindows(level), std::move(status));
+  }
+}
+
+bool GridDetector::scanLevel(int levelIndex, Level& level,
+                             DegradationReport* report) const {
+  // The grid is extracted once per level (extractors may be stateful, so
+  // this stays on the calling thread); every window over the level then
+  // shares it. Block-norm extractors also normalize every block exactly
+  // once here -- adjacent windows overlap by all but one cell column, so
+  // the per-window path would redo each block's normalization for each of
+  // the up to 4 windows covering it. A level whose grid cannot be produced
+  // -- a backend failure, a poisoned image, a simulator fault -- degrades
+  // the scene rather than aborting it: the level is skipped, accounted,
+  // and the scan goes on.
+  {
+    PCNN_SPAN("detect.cellGrid");
+    obs::ScopedTimer timer(*cellGridUs_);
+    StatusOr<hog::CellGrid> gridOr =
+        featureExtractor_->tryCellGrid(level.image);
+    if (!gridOr.ok()) {
+      skipLevel(levelIndex, level, gridOr.status(), report);
+      return false;
+    }
+    level.grid = std::move(gridOr).value();
+  }
+  if (featureExtractor_->layout() == extract::FeatureLayout::kBlockNorm) {
+    PCNN_SPAN("detect.blockGrid");
+    try {
+      level.blocks = featureExtractor_->prepareBlocks(level.grid);
+    } catch (const std::exception& e) {
+      skipLevel(levelIndex, level,
+                Status::Internal(std::string("prepareBlocks: ") + e.what()),
+                report);
+      return false;
+    }
+  }
+  level.scores.resize(static_cast<std::size_t>(levelWindows(level)));
+  scoreWindows(level, {}, report);
+  level.valid = true;
+  return true;
+}
+
+long GridDetector::scoreWindows(Level& level,
+                                const std::function<bool(int, int)>& selected,
+                                DegradationReport* report) const {
+  PCNN_SPAN_ARG("detect.scan", "windows", levelWindows(level));
+  // Per-row tallies: rows are scored concurrently, so each row counts its
+  // own windows and the tallies are summed after the barrier --
+  // deterministic for any thread count.
+  std::vector<long> rowScored(static_cast<std::size_t>(level.spanY), 0);
+  std::vector<long> rowLost(static_cast<std::size_t>(level.spanY), 0);
+  parallelFor(0, level.spanY, [&](long wy) {
+    float* row = level.scores.data() +
+                 static_cast<std::size_t>(wy) *
+                     static_cast<std::size_t>(level.spanX);
+    std::vector<float> features;
+    for (int wx = 0; wx < level.spanX; ++wx) {
+      if (selected && !selected(wx, static_cast<int>(wy))) continue;
+      ++rowScored[static_cast<std::size_t>(wy)];
+      if (!scoreWindow(level.grid, level.blocks, wx, static_cast<int>(wy),
+                       features, row[wx])) {
+        row[wx] = kLostScore;
+        ++rowLost[static_cast<std::size_t>(wy)];
+      }
+    }
+  });
+  long scored = 0, lost = 0;
+  for (long n : rowScored) scored += n;
+  for (long n : rowLost) lost += n;
+  if (lost > 0) {
+    DetectMetrics::instance().windowsLost.add(lost);
+    if (report != nullptr) report->windowsLost += lost;
+  }
+  return scored;
 }
 
 bool GridDetector::scoreWindow(const hog::CellGrid& grid,
@@ -77,205 +217,63 @@ bool GridDetector::scoreWindow(const hog::CellGrid& grid,
   }
 }
 
-std::vector<vision::Detection> GridDetector::detectRaw(
-    const vision::Image& scene) const {
-  return detectRaw(scene, params_.scoreThreshold);
+void GridDetector::emitLevelDetections(
+    const Level& level, std::vector<vision::Detection>& out) const {
+  const int cell = params_.cellSize;
+  const float winW = static_cast<float>(featureExtractor_->windowCellsX() *
+                                        cell) *
+                     level.scale;
+  const float winH = static_cast<float>(featureExtractor_->windowCellsY() *
+                                        cell) *
+                     level.scale;
+  for (int wy = 0; wy < level.spanY; ++wy) {
+    const float* row = level.scores.data() +
+                       static_cast<std::size_t>(wy) *
+                           static_cast<std::size_t>(level.spanX);
+    for (int wx = 0; wx < level.spanX; ++wx) {
+      if (row[wx] < params_.scoreThreshold) continue;
+      vision::Detection det;
+      det.score = row[wx];
+      det.box.x = static_cast<float>(wx * cell) * level.scale;
+      det.box.y = static_cast<float>(wy * cell) * level.scale;
+      det.box.w = winW;
+      det.box.h = winH;
+      out.push_back(det);
+    }
+  }
 }
 
 std::vector<vision::Detection> GridDetector::detectRaw(
-    const vision::Image& scene, float scoreThreshold) const {
-  return detectRaw(scene, scoreThreshold, nullptr);
-}
-
-std::vector<vision::Detection> GridDetector::detectRaw(
-    const vision::Image& scene, float scoreThreshold,
+    const vision::Image& scene, const DetectOptions& options,
     DegradationReport* report) const {
-  return detectRaw(scene, scoreThreshold, report, DetectOptions{});
-}
-
-std::vector<vision::Detection> GridDetector::detectRaw(
-    const vision::Image& scene, float scoreThreshold,
-    DegradationReport* report, const DetectOptions& options) const {
   PCNN_SPAN("detect.detectRaw");
+  const FaultAttribution faults(report);
   DetectMetrics& metrics = DetectMetrics::instance();
   metrics.scenes.add();
-  const tn::FaultCounts faultsBefore =
-      report != nullptr ? tn::globalFaultCounts() : tn::FaultCounts{};
-  std::vector<vision::Detection> detections;
-  vision::PyramidParams pp = params_.pyramid;
-  pp.minWidth = params_.windowCellsX * params_.cellSize;
-  pp.minHeight = params_.windowCellsY * params_.cellSize;
-  std::vector<vision::PyramidLevel> levels;
-  {
-    PCNN_SPAN("detect.pyramid");
-    levels = vision::buildPyramid(scene, pp);
-  }
+  std::vector<Level> levels = buildLevels(scene);
   metrics.pyramidLevels.add(static_cast<long>(levels.size()));
-
-  const bool blockPath =
-      featureExtractor_->layout() == extract::FeatureLayout::kBlockNorm;
-
-  long levelIndex = -1;
+  std::vector<vision::Detection> detections;
   bool abandoned = false;  // a cancel/deadline hook fired; shed the rest
-  for (const vision::PyramidLevel& level : levels) {
-    ++levelIndex;
-    // Deliberate shedding (the serving layer's coarser-pyramid rung):
-    // the finest levels are the most expensive and are given up first,
-    // attributed as kUnavailable so the caller can see exactly what
-    // quality was traded away.
-    if (levelIndex < options.skipFinestLevels) {
-      metrics.levelsShed.add();
-      if (report != nullptr) {
-        report->addSkip(static_cast<int>(levelIndex),
-                        expectedLevelWindows(level.image, params_),
-                        Status::Unavailable("detect: level shed by caller"));
-      }
-      continue;
-    }
-    // Deadline enforcement between pyramid levels: once the hook fires,
-    // every remaining level is abandoned and attributed; detections from
-    // completed levels survive.
-    if (!abandoned && options.cancel && options.cancel()) abandoned = true;
-    if (abandoned) {
-      metrics.levelsExpired.add();
-      if (report != nullptr) {
-        report->addSkip(static_cast<int>(levelIndex),
-                        expectedLevelWindows(level.image, params_),
-                        Status::DeadlineExceeded(
-                            "detect: level abandoned past deadline"));
-      }
-      continue;
-    }
+  for (std::size_t li = 0; li < levels.size(); ++li) {
+    const int levelIndex = static_cast<int>(li);
+    Level& level = levels[li];
+    if (!admitLevel(levelIndex, level, options, abandoned, report)) continue;
     PCNN_SPAN_ARG("detect.level", "level", levelIndex);
-    // The grid is extracted once per level (extractors may be stateful, so
-    // this stays on the calling thread); every window over the level then
-    // shares it. Block-norm extractors also normalize every block exactly
-    // once here -- adjacent windows overlap by all but one cell column, so
-    // the per-window path would redo each block's normalization for each
-    // of the up to 4 windows covering it. Rows are scored on the pool,
-    // each collecting into its own bucket, and buckets are concatenated in
-    // row order afterwards so the output is identical to the sequential
-    // scan for any thread count.
-    // A level whose grid cannot be produced -- a backend failure, a
-    // poisoned image, a simulator fault -- degrades the scene rather than
-    // aborting it: the level is skipped, accounted, and the scan goes on.
-    auto skipLevel = [&](Status status) {
-      PCNN_SPAN_ARG("detect.level.degraded", "level", levelIndex);
-      obs::noteFaultEvent("detect.level.degraded");
-      metrics.levelsDegraded.add();
-      const long lost = expectedLevelWindows(level.image, params_);
-      if (lost > 0) metrics.windowsLost.add(lost);
-      if (report != nullptr) {
-        report->addSkip(static_cast<int>(levelIndex), lost, std::move(status));
-      }
-    };
-    hog::CellGrid grid;
-    {
-      PCNN_SPAN("detect.cellGrid");
-      obs::ScopedTimer timer(cellGridUs());
-      StatusOr<hog::CellGrid> gridOr =
-          featureExtractor_->tryCellGrid(level.image);
-      if (!gridOr.ok()) {
-        skipLevel(gridOr.status());
-        continue;
-      }
-      grid = std::move(gridOr).value();
-    }
-    hog::BlockGrid blocks;
-    if (blockPath) {
-      PCNN_SPAN("detect.blockGrid");
-      try {
-        blocks = featureExtractor_->prepareBlocks(grid);
-      } catch (const std::exception& e) {
-        skipLevel(Status::Internal(std::string("prepareBlocks: ") + e.what()));
-        continue;
-      }
-    }
-    const int maxCy = grid.cellsY - params_.windowCellsY;
-    const int maxCx = grid.cellsX - params_.windowCellsX;
-    if (maxCy < 0 || maxCx < 0) continue;
-    // Every window on this level slices the one cached grid instead of
+    if (!scanLevel(levelIndex, level, report)) continue;
+    // Every window on this level sliced the one cached grid instead of
     // recomputing its cells -- each is one grid-cache hit.
-    const long levelWindows =
-        static_cast<long>(maxCy + 1) * static_cast<long>(maxCx + 1);
-    metrics.windowsScanned.add(levelWindows);
-    metrics.gridCacheHits.add(levelWindows);
-    PCNN_SPAN_ARG("detect.scan", "windows", levelWindows);
-    std::vector<std::vector<vision::Detection>> rows(
-        static_cast<std::size_t>(maxCy) + 1);
-    // Per-row loss tallies: rows are scanned concurrently, so each row
-    // counts its own dropped windows and the tallies are summed after the
-    // barrier -- deterministic for any thread count.
-    std::vector<long> rowWindowsLost(static_cast<std::size_t>(maxCy) + 1, 0);
-    auto scanRow = [&](long cy) {
-      std::vector<vision::Detection>& row =
-          rows[static_cast<std::size_t>(cy)];
-      std::vector<float> features;
-      for (int cx = 0; cx <= maxCx; ++cx) {
-        float score;
-        if (!scoreWindow(grid, blocks, cx, static_cast<int>(cy), features,
-                         score)) {
-          ++rowWindowsLost[static_cast<std::size_t>(cy)];
-          continue;
-        }
-        if (score < scoreThreshold) continue;
-        vision::Detection det;
-        det.score = score;
-        det.box.x = static_cast<float>(cx * params_.cellSize) * level.scale;
-        det.box.y = static_cast<float>(static_cast<int>(cy) *
-                                       params_.cellSize) *
-                    level.scale;
-        det.box.w = static_cast<float>(params_.windowCellsX *
-                                       params_.cellSize) *
-                    level.scale;
-        det.box.h = static_cast<float>(params_.windowCellsY *
-                                       params_.cellSize) *
-                    level.scale;
-        row.push_back(det);
-      }
-    };
-    if (params_.parallelScan) {
-      parallelFor(0, maxCy + 1, scanRow);
-    } else {
-      for (int cy = 0; cy <= maxCy; ++cy) scanRow(cy);
-    }
-    for (const auto& row : rows) {
-      detections.insert(detections.end(), row.begin(), row.end());
-    }
-    long levelWindowsLost = 0;
-    for (long lost : rowWindowsLost) levelWindowsLost += lost;
-    if (levelWindowsLost > 0) {
-      metrics.windowsLost.add(levelWindowsLost);
-      if (report != nullptr) report->windowsLost += levelWindowsLost;
-    }
-  }
-  if (report != nullptr) {
-    report->faults = tn::globalFaultCounts() - faultsBefore;
+    metrics.windowsScanned.add(levelWindows(level));
+    metrics.gridCacheHits.add(levelWindows(level));
+    emitLevelDetections(level, detections);
+    level = Level{};  // only the detections outlive the level's scan
   }
   return detections;
 }
 
 std::vector<vision::Detection> GridDetector::detect(
-    const vision::Image& scene) const {
-  return detect(scene, params_.scoreThreshold);
-}
-
-std::vector<vision::Detection> GridDetector::detect(
-    const vision::Image& scene, float scoreThreshold) const {
-  return detect(scene, scoreThreshold, nullptr);
-}
-
-std::vector<vision::Detection> GridDetector::detect(
-    const vision::Image& scene, float scoreThreshold,
+    const vision::Image& scene, const DetectOptions& options,
     DegradationReport* report) const {
-  return detect(scene, scoreThreshold, report, DetectOptions{});
-}
-
-std::vector<vision::Detection> GridDetector::detect(
-    const vision::Image& scene, float scoreThreshold,
-    DegradationReport* report, const DetectOptions& options) const {
-  std::vector<vision::Detection> raw =
-      detectRaw(scene, scoreThreshold, report, options);
+  std::vector<vision::Detection> raw = detectRaw(scene, options, report);
   PCNN_SPAN_ARG("detect.nms", "candidates", raw.size());
   return vision::nonMaximumSuppression(std::move(raw), params_.nmsEpsilon);
 }

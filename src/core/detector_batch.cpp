@@ -20,41 +20,33 @@
 //  - a window's score depends only on its covered cells, and every window
 //    covering a dirty cell is rescored (clean windows keep the cached
 //    score the full scan would recompute to the same bits);
-//  - detections are emitted from the score grid in the same row-major
-//    level order as the sequential scan, so NMS sees an identical input.
+//  - both paths score into a per-level score plane with the same scan
+//    core and emit detections from it through the same emitter
+//    (detector.cpp), so NMS sees an identical input.
 
 #include "core/detector.hpp"
 
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <utility>
 
 #include "common/env.hpp"
-#include "common/parallel.hpp"
 #include "core/temporal.hpp"
-#include "obs/flight.hpp"
 #include "obs/obs.hpp"
 
 namespace pcnn::core {
 
 namespace {
 
-/// Batch-stage instruments shared by every detector instance.
+/// Temporal-path instruments shared by every detector instance (the level
+/// gate, skip, and lost-window counters belong to the scan core in
+/// detector.cpp).
 struct BatchMetrics {
   obs::Counter& frames = obs::counter("detect.frames");
   obs::Counter& tilesReused = obs::counter("detect.tiles_reused");
   obs::Counter& tilesRecomputed = obs::counter("detect.tiles_recomputed");
   obs::Counter& windowsRescored = obs::counter("detect.windows_rescored");
   obs::Counter& windowsReused = obs::counter("detect.windows_reused");
-  obs::Counter& levelsDegraded = obs::counter("detect.level.degraded");
-  obs::Counter& windowsLost = obs::counter("detect.windows_lost");
-  /// Deliberate quality loss (shed / deadline-abandoned levels), kept
-  /// separate from failure-driven degradation. Shared names with the
-  /// single-scene path in detector.cpp (the registry hands back the same
-  /// counters).
-  obs::Counter& levelsShed = obs::counter("detect.level.shed");
-  obs::Counter& levelsExpired = obs::counter("detect.level.deadline");
   /// Fraction of tiles served from the temporal cache on the most recent
   /// frame, and the most recent frame's instantaneous rate; both are
   /// live-telemetry signals for the streaming exporter.
@@ -67,77 +59,12 @@ struct BatchMetrics {
   }
 };
 
-constexpr float kLostScore = -std::numeric_limits<float>::infinity();
-
 inline int ceilDiv(int a, int b) { return (a + b - 1) / b; }
 
 /// A half-open pixel rectangle (dirty-region bookkeeping).
 struct PxRect {
   int x0 = 0, y0 = 0, x1 = 0, y1 = 0;
 };
-
-}  // namespace
-
-/// Everything detectBatch keeps alive between frames. One per detector;
-/// sized by the first frame's pyramid.
-struct GridDetector::TemporalCache {
-  explicit TemporalCache(const TemporalSmootherParams& smootherParams)
-      : smoother(smootherParams) {}
-
-  struct Level {
-    vision::Image image;     ///< the level's (resized) pixels
-    float scale = 1.0f;      ///< level-to-scene coordinate scale
-    hog::CellGrid grid;      ///< persistent cell histograms
-    hog::BlockGrid blocks;   ///< persistent normalized blocks (kBlockNorm)
-    std::vector<float> scores;  ///< spanY * spanX cached window scores
-    int spanX = 0;
-    int spanY = 0;
-    bool valid = false;      ///< false -> full recompute next frame
-  };
-
-  vision::Image scene;       ///< the previous frame, for tile diffing
-  std::vector<Level> levels;
-  bool valid = false;        ///< pyramid geometry initialized and current
-  TemporalSmoother smoother;
-};
-
-void GridDetector::TemporalCacheDeleter::operator()(
-    TemporalCache* cache) const {
-  delete cache;
-}
-
-GridDetector::~GridDetector() = default;
-
-void GridDetector::resetTemporalCache() { temporal_.reset(); }
-
-namespace {
-
-/// Appends the level's above-threshold windows in row-major order --
-/// the same order the sequential scan emits, which is what keeps the NMS
-/// input identical between the cached and full paths.
-void emitLevelDetections(const auto& lc,
-                         const GridDetectorParams& params, float threshold,
-                         std::vector<vision::Detection>& out) {
-  const float cellPx = static_cast<float>(params.cellSize) * lc.scale;
-  const float winW =
-      static_cast<float>(params.windowCellsX * params.cellSize) * lc.scale;
-  const float winH =
-      static_cast<float>(params.windowCellsY * params.cellSize) * lc.scale;
-  for (int wy = 0; wy < lc.spanY; ++wy) {
-    const float* row =
-        lc.scores.data() + static_cast<std::size_t>(wy) * lc.spanX;
-    for (int wx = 0; wx < lc.spanX; ++wx) {
-      if (row[wx] < threshold) continue;
-      vision::Detection det;
-      det.score = row[wx];
-      det.box.x = static_cast<float>(wx) * cellPx;
-      det.box.y = static_cast<float>(wy) * cellPx;
-      det.box.w = winW;
-      det.box.h = winH;
-      out.push_back(det);
-    }
-  }
-}
 
 /// Diffs two same-sized frames at tile granularity. Whole rows are
 /// compared first (one memcmp per row -- almost every row of a
@@ -232,10 +159,23 @@ PxRect mapRectToLevel(const PxRect& r, const vision::Image& scene,
 
 }  // namespace
 
-BatchDetectResult GridDetector::detectBatch(
-    const std::vector<vision::Image>& frames) {
-  return detectBatch(frames, BatchOptions{}, nullptr);
+/// Everything detectBatch keeps alive between frames. One per detector;
+/// sized by the first frame's pyramid.
+struct GridDetector::TemporalCache {
+  vision::Image scene;  ///< the previous frame, for tile diffing
+  std::vector<Level> levels;
+  bool valid = false;   ///< pyramid geometry initialized and current
+  TemporalSmoother smoother;
+};
+
+void GridDetector::TemporalCacheDeleter::operator()(
+    TemporalCache* cache) const {
+  delete cache;
 }
+
+GridDetector::~GridDetector() = default;
+
+void GridDetector::resetTemporalCache() { temporal_.reset(); }
 
 BatchDetectResult GridDetector::detectBatch(
     const std::vector<vision::Image>& frames, const BatchOptions& options,
@@ -247,11 +187,6 @@ BatchDetectResult GridDetector::detectBatch(
                      options, reports);
 }
 
-BatchDetectResult GridDetector::detectBatch(int numFrames,
-                                            const FrameProvider& frames) {
-  return detectBatch(numFrames, frames, BatchOptions{}, nullptr);
-}
-
 BatchDetectResult GridDetector::detectBatch(
     int numFrames, const FrameProvider& frames, const BatchOptions& options,
     std::vector<DegradationReport>* reports) {
@@ -260,67 +195,48 @@ BatchDetectResult GridDetector::detectBatch(
   const bool temporalOn =
       params_.temporal.enabled && env::flag("PCNN_TEMPORAL", true);
   const bool smoothOn = temporalOn && params_.temporal.smooth;
+  const std::size_t count =
+      static_cast<std::size_t>(numFrames > 0 ? numFrames : 0);
   BatchDetectResult result;
   result.temporalEnabled = temporalOn;
-  result.frames.reserve(static_cast<std::size_t>(numFrames > 0 ? numFrames
-                                                               : 0));
-  if (reports != nullptr) {
-    reports->assign(static_cast<std::size_t>(numFrames > 0 ? numFrames : 0),
-                    DegradationReport{});
-  }
-  if (!temporal_) {
-    TemporalSmootherParams sp;
-    sp.alpha = params_.temporal.smoothingAlpha;
-    sp.matchIou = params_.temporal.matchIou;
-    temporal_.reset(new TemporalCache(sp));
-  }
+  result.frames.reserve(count);
+  if (reports != nullptr) reports->assign(count, DegradationReport{});
+  if (!temporal_) temporal_.reset(new TemporalCache);
   for (int f = 0; f < numFrames; ++f) {
+    const std::size_t fi = static_cast<std::size_t>(f);
     const vision::Image frame = frames(f);
     PCNN_SPAN_ARG("detect.frame", "frame", f);
     metrics.frames.add();
     const bool measure = obs::metricsEnabled();
     const double frameStartUs = measure ? obs::nowMicros() : 0.0;
-    DegradationReport* report =
-        reports != nullptr ? &(*reports)[static_cast<std::size_t>(f)]
-                           : nullptr;
+    DegradationReport* report = reports != nullptr ? &(*reports)[fi] : nullptr;
+    // Fold the frame's absolute deadline into the cancel hook the level
+    // gate polls between pyramid levels -- once, for both paths.
+    DetectOptions frameOptions = options.detect;
     const double deadlineUs =
-        static_cast<std::size_t>(f) < options.deadlineUs.size()
-            ? options.deadlineUs[static_cast<std::size_t>(f)]
-            : 0.0;
+        fi < options.deadlineUs.size() ? options.deadlineUs[fi] : 0.0;
+    if (deadlineUs > 0.0) {
+      frameOptions.cancel = [userCancel = options.detect.cancel,
+                             deadlineUs]() {
+        return (userCancel && userCancel()) || obs::nowMicros() > deadlineUs;
+      };
+    }
     FrameResult fr;
-    if (!temporalOn) {
+    std::vector<vision::Detection> raw;
+    if (temporalOn) {
+      raw = detectFrameTemporal(frame, fr.stats, frameOptions, report);
+    } else {
       // The reference path: exactly the single-scene pipeline per frame
       // (bitwise-identical detections at any thread count, no smoothing).
       fr.stats.fullRecompute = true;
-      DetectOptions frameOptions = options.detect;
-      if (deadlineUs > 0.0) {
-        // Fold the frame's absolute deadline into the cancel hook, which
-        // detectRaw polls between pyramid levels.
-        std::function<bool()> userCancel = frameOptions.cancel;
-        frameOptions.cancel = [userCancel, deadlineUs]() {
-          return (userCancel && userCancel()) ||
-                 obs::nowMicros() > deadlineUs;
-        };
-      }
-      fr.detections =
-          detect(frame, params_.scoreThreshold, report, frameOptions);
-    } else {
-      const tn::FaultCounts faultsBefore =
-          report != nullptr ? tn::globalFaultCounts() : tn::FaultCounts{};
-      std::vector<vision::Detection> raw = detectFrameTemporal(
-          frame, fr.stats, options.detect, deadlineUs, report);
-      if (report != nullptr) {
-        report->faults = tn::globalFaultCounts() - faultsBefore;
-      }
-      {
-        PCNN_SPAN_ARG("detect.nms", "candidates", raw.size());
-        fr.detections = vision::nonMaximumSuppression(std::move(raw),
-                                                      params_.nmsEpsilon);
-      }
-      if (smoothOn) {
-        fr.detections = temporal_->smoother.apply(fr.detections);
-      }
+      raw = detectRaw(frame, frameOptions, report);
     }
+    {
+      PCNN_SPAN_ARG("detect.nms", "candidates", raw.size());
+      fr.detections =
+          vision::nonMaximumSuppression(std::move(raw), params_.nmsEpsilon);
+    }
+    if (smoothOn) fr.detections = temporal_->smoother.apply(fr.detections);
     if (measure) {
       const double frameUs = obs::nowMicros() - frameStartUs;
       metrics.frameUs.record(frameUs);
@@ -338,39 +254,24 @@ BatchDetectResult GridDetector::detectBatch(
 
 std::vector<vision::Detection> GridDetector::detectFrameTemporal(
     const vision::Image& frame, FrameStats& stats,
-    const DetectOptions& options, double deadlineUs,
-    DegradationReport* report) {
+    const DetectOptions& options, DegradationReport* report) {
+  const FaultAttribution faults(report);
   BatchMetrics& metrics = BatchMetrics::instance();
   TemporalCache& cache = *temporal_;
-  const float threshold = params_.scoreThreshold;
-  const bool blockPath =
-      featureExtractor_->layout() == extract::FeatureLayout::kBlockNorm;
   const int cell = params_.cellSize;
+  const int windowCellsX = featureExtractor_->windowCellsX();
+  const int windowCellsY = featureExtractor_->windowCellsY();
   const int tileCells =
       params_.temporal.tileCells > 0 ? params_.temporal.tileCells : 1;
   const int tilePx = tileCells * cell;
   std::vector<vision::Detection> detections;
 
   // Cold start (or a stream whose dimensions changed): rebuild the
-  // pyramid geometry; every level then takes the full-compute branch.
+  // pyramid; every level then takes the full-scan branch.
   const bool cold = !cache.valid || cache.scene.width() != frame.width() ||
                     cache.scene.height() != frame.height();
   if (cold) {
-    cache.levels.clear();
-    vision::PyramidParams pp = params_.pyramid;
-    pp.minWidth = params_.windowCellsX * cell;
-    pp.minHeight = params_.windowCellsY * cell;
-    std::vector<vision::PyramidLevel> pyramid;
-    {
-      PCNN_SPAN("detect.pyramid");
-      pyramid = vision::buildPyramid(frame, pp);
-    }
-    cache.levels.resize(pyramid.size());
-    for (std::size_t li = 0; li < pyramid.size(); ++li) {
-      cache.levels[li].image = std::move(pyramid[li].image);
-      cache.levels[li].scale = pyramid[li].scale;
-      cache.levels[li].valid = false;
-    }
+    cache.levels = buildLevels(frame);
     stats.fullRecompute = true;
   }
 
@@ -385,99 +286,39 @@ std::vector<vision::Detection> GridDetector::detectFrameTemporal(
                                frame.width(), frame.height());
   }
 
-  // Rescores the windows of a level that `selected(wx, wy)` picks into
-  // its score grid. Rows run on the pool, each a disjoint score slice with
-  // its own feature buffer and tallies, so the result is deterministic for
-  // any thread count. A lost window keeps kLostScore.
-  auto rescoreWindows = [&](TemporalCache::Level& lc, auto selected,
-                            long& rescored, long& lost) {
-    std::vector<long> rowRescored(static_cast<std::size_t>(lc.spanY), 0);
-    std::vector<long> rowLost(static_cast<std::size_t>(lc.spanY), 0);
-    auto rescanRow = [&](long wy) {
-      float* row =
-          lc.scores.data() + static_cast<std::size_t>(wy) * lc.spanX;
-      std::vector<float> features;
-      for (int wx = 0; wx < lc.spanX; ++wx) {
-        if (!selected(wx, static_cast<int>(wy))) continue;
-        ++rowRescored[static_cast<std::size_t>(wy)];
-        if (!scoreWindow(lc.grid, lc.blocks, wx, static_cast<int>(wy),
-                         features, row[wx])) {
-          row[wx] = kLostScore;
-          ++rowLost[static_cast<std::size_t>(wy)];
-        }
-      }
-    };
-    if (params_.parallelScan) {
-      parallelFor(0, lc.spanY, rescanRow);
-    } else {
-      for (int wy = 0; wy < lc.spanY; ++wy) rescanRow(wy);
-    }
-    for (long r : rowRescored) rescored += r;
-    for (long l : rowLost) lost += l;
-  };
-
-  long levelIndex = -1;
   bool abandoned = false;  // the deadline/cancel hook fired mid-frame
-  for (TemporalCache::Level& lc : cache.levels) {
-    ++levelIndex;
+  for (std::size_t li = 0; li < cache.levels.size(); ++li) {
+    const int levelIndex = static_cast<int>(li);
+    Level& lc = cache.levels[li];
+    if (!admitLevel(levelIndex, lc, options, abandoned, report)) continue;
     PCNN_SPAN_ARG("detect.level", "level", levelIndex);
     const int cellsX = lc.image.width() / cell;
     const int cellsY = lc.image.height() / cell;
     const int tilesAcross = ceilDiv(cellsX, tileCells);
     const int tilesDown = ceilDiv(cellsY, tileCells);
     const long levelTiles = static_cast<long>(tilesAcross) * tilesDown;
-    lc.spanX = cellsX - params_.windowCellsX + 1;
-    lc.spanY = cellsY - params_.windowCellsY + 1;
-    if (lc.spanX <= 0 || lc.spanY <= 0) continue;
-    const long levelWindowSpan =
+    const long levelWindows =
         static_cast<long>(lc.spanX) * static_cast<long>(lc.spanY);
-
-    // Deliberate shedding and deadline abandonment (the serving ladder).
-    // A skipped level's cached grid goes stale against the live stream, so
-    // it is invalidated and rebuilds from the current frame when the
-    // ladder re-enables it.
-    if (levelIndex < options.skipFinestLevels) {
-      metrics.levelsShed.add();
-      lc.valid = false;
-      if (report != nullptr) {
-        report->addSkip(static_cast<int>(levelIndex), levelWindowSpan,
-                        Status::Unavailable("detect: level shed by caller"));
-      }
-      continue;
-    }
-    if (!abandoned &&
-        ((options.cancel && options.cancel()) ||
-         (deadlineUs > 0.0 && obs::nowMicros() > deadlineUs))) {
-      abandoned = true;
-    }
-    if (abandoned) {
-      metrics.levelsExpired.add();
-      lc.valid = false;
-      if (report != nullptr) {
-        report->addSkip(static_cast<int>(levelIndex), levelWindowSpan,
-                        Status::DeadlineExceeded(
-                            "detect: level abandoned past deadline"));
-      }
-      continue;
-    }
-
-    auto skipLevel = [&](Status status) {
-      PCNN_SPAN_ARG("detect.level.degraded", "level", levelIndex);
-      obs::noteFaultEvent("detect.level.degraded");
-      metrics.levelsDegraded.add();
-      lc.valid = false;  // rebuilt from scratch on the next frame
-      if (report != nullptr) {
-        report->addSkip(static_cast<int>(levelIndex), levelWindowSpan,
-                        std::move(status));
-      }
+    // Every branch ends here: account what the level recomputed (the rest
+    // of its tiles and windows were reused), then emit from its scores.
+    auto finishLevel = [&](long tilesRecomputed, long windowsRescored) {
+      stats.tilesRecomputed += tilesRecomputed;
+      stats.tilesReused += levelTiles - tilesRecomputed;
+      stats.windowsRescored += windowsRescored;
+      stats.windowsReused += levelWindows - windowsRescored;
+      metrics.tilesRecomputed.add(tilesRecomputed);
+      metrics.tilesReused.add(levelTiles - tilesRecomputed);
+      metrics.windowsRescored.add(windowsRescored);
+      metrics.windowsReused.add(levelWindows - windowsRescored);
+      emitLevelDetections(lc, detections);
     };
 
     if (!lc.valid) {
-      // Full compute: cold cache, or the level was invalidated by a
-      // failed incremental update or a shed/abandoned scan. On a warm
-      // cache the level's pixels are stale (the incremental splice only
-      // runs for valid levels), so refresh the whole level from the live
-      // frame first -- resizeBilinearInto over the full rect reproduces
+      // Full scan: cold cache, or the level was invalidated by a failed
+      // incremental update or a shed/abandoned scan. On a warm cache the
+      // level's pixels are stale (the incremental splice only runs for
+      // valid levels), so refresh the whole level from the live frame
+      // first -- resizeBilinearInto over the full rect reproduces
       // buildPyramid's resize bit for bit.
       if (!cold) {
         if (levelIndex == 0) {
@@ -490,43 +331,9 @@ std::vector<vision::Detection> GridDetector::detectFrameTemporal(
                                      lc.image.width(), lc.image.height());
         }
       }
-      {
-        PCNN_SPAN("detect.cellGrid");
-        obs::ScopedTimer timer(cellGridUs());
-        StatusOr<hog::CellGrid> gridOr =
-            featureExtractor_->tryCellGrid(lc.image);
-        if (!gridOr.ok()) {
-          skipLevel(gridOr.status());
-          continue;
-        }
-        lc.grid = std::move(gridOr).value();
+      if (scanLevel(levelIndex, lc, report)) {
+        finishLevel(levelTiles, levelWindows);
       }
-      if (blockPath) {
-        PCNN_SPAN("detect.blockGrid");
-        try {
-          lc.blocks = featureExtractor_->prepareBlocks(lc.grid);
-        } catch (const std::exception& e) {
-          skipLevel(
-              Status::Internal(std::string("prepareBlocks: ") + e.what()));
-          continue;
-        }
-      }
-      const long levelWindows =
-          static_cast<long>(lc.spanX) * static_cast<long>(lc.spanY);
-      PCNN_SPAN_ARG("detect.scan", "windows", levelWindows);
-      lc.scores.assign(static_cast<std::size_t>(levelWindows), kLostScore);
-      long rescored = 0, lost = 0;
-      rescoreWindows(lc, [](int, int) { return true; }, rescored, lost);
-      if (lost > 0) {
-        metrics.windowsLost.add(lost);
-        if (report != nullptr) report->windowsLost += lost;
-      }
-      lc.valid = true;
-      stats.tilesRecomputed += levelTiles;
-      stats.windowsRescored += levelWindows;
-      metrics.tilesRecomputed.add(levelTiles);
-      metrics.windowsRescored.add(levelWindows);
-      emitLevelDetections(lc, params_, threshold, detections);
       continue;
     }
 
@@ -567,15 +374,8 @@ std::vector<vision::Detection> GridDetector::detectFrameTemporal(
       }
     }
 
-    const long levelWindows =
-        static_cast<long>(lc.spanX) * static_cast<long>(lc.spanY);
     if (!anyDirty) {
-      // Nothing under this level changed: every tile and window reused.
-      stats.tilesReused += levelTiles;
-      stats.windowsReused += levelWindows;
-      metrics.tilesReused.add(levelTiles);
-      metrics.windowsReused.add(levelWindows);
-      emitLevelDetections(lc, params_, threshold, detections);
+      finishLevel(0, 0);  // nothing under this level changed
       continue;
     }
 
@@ -606,21 +406,22 @@ std::vector<vision::Detection> GridDetector::detectFrameTemporal(
     }
     {
       PCNN_SPAN("detect.cellGrid");
-      obs::ScopedTimer timer(cellGridUs());
+      obs::ScopedTimer timer(*cellGridUs_);
       StatusOr<long> updated = featureExtractor_->tryUpdateCellGrid(
           lc.image, cellRects, lc.grid);
       if (!updated.ok()) {
-        skipLevel(updated.status());
+        skipLevel(levelIndex, lc, updated.status(), report);
         continue;
       }
     }
-    if (blockPath) {
+    if (featureExtractor_->layout() == extract::FeatureLayout::kBlockNorm) {
       PCNN_SPAN("detect.blockGrid");
       try {
         featureExtractor_->updateBlocks(lc.grid, cellRects, lc.blocks);
       } catch (const std::exception& e) {
-        skipLevel(
-            Status::Internal(std::string("updateBlocks: ") + e.what()));
+        skipLevel(levelIndex, lc,
+                  Status::Internal(std::string("updateBlocks: ") + e.what()),
+                  report);
         continue;
       }
     }
@@ -644,9 +445,9 @@ std::vector<vision::Detection> GridDetector::detectFrameTemporal(
     }
     auto windowDirty = [&](int wx, int wy) {
       const int txa = wx / tileCells;
-      const int txb = (wx + params_.windowCellsX - 1) / tileCells;
+      const int txb = (wx + windowCellsX - 1) / tileCells;
       const int tya = wy / tileCells;
-      const int tyb = (wy + params_.windowCellsY - 1) / tileCells;
+      const int tyb = (wy + windowCellsY - 1) / tileCells;
       const int sum =
           prefix[static_cast<std::size_t>(tyb + 1) * (tilesAcross + 1) +
                  txb + 1] -
@@ -659,24 +460,7 @@ std::vector<vision::Detection> GridDetector::detectFrameTemporal(
     };
 
     // Rescore only the dirty windows.
-    long rescored = 0, lost = 0;
-    {
-      PCNN_SPAN_ARG("detect.scan", "windows", levelWindows);
-      rescoreWindows(lc, windowDirty, rescored, lost);
-    }
-    if (lost > 0) {
-      metrics.windowsLost.add(lost);
-      if (report != nullptr) report->windowsLost += lost;
-    }
-    stats.tilesRecomputed += dirtyTileCount;
-    stats.tilesReused += levelTiles - dirtyTileCount;
-    stats.windowsRescored += rescored;
-    stats.windowsReused += levelWindows - rescored;
-    metrics.tilesRecomputed.add(dirtyTileCount);
-    metrics.tilesReused.add(levelTiles - dirtyTileCount);
-    metrics.windowsRescored.add(rescored);
-    metrics.windowsReused.add(levelWindows - rescored);
-    emitLevelDetections(lc, params_, threshold, detections);
+    finishLevel(dirtyTileCount, scoreWindows(lc, windowDirty, report));
   }
 
   cache.scene = frame;

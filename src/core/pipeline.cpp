@@ -72,8 +72,7 @@ std::vector<float> PartitionedPipeline::scoreAllDegraded(
     const std::vector<vision::Image>& windows,
     DegradationReport* report) const {
   PCNN_SPAN_ARG("pipeline.scoreAllDegraded", "windows", windows.size());
-  const tn::FaultCounts faultsBefore =
-      report != nullptr ? tn::globalFaultCounts() : tn::FaultCounts{};
+  const FaultAttribution faults(report);
   constexpr float kLost = std::numeric_limits<float>::quiet_NaN();
   std::vector<float> scores(windows.size(), kLost);
   long lost = 0;
@@ -112,10 +111,7 @@ std::vector<float> PartitionedPipeline::scoreAllDegraded(
         obs::counter("pipeline.windows_lost");
     lostWindows.add(lost);
   }
-  if (report != nullptr) {
-    report->windowsLost += lost;
-    report->faults = tn::globalFaultCounts() - faultsBefore;
-  }
+  if (report != nullptr) report->windowsLost += lost;
   return scores;
 }
 

@@ -5,7 +5,6 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
 #include "eedn/partitioned.hpp"
 #include "eedn/trinary.hpp"
@@ -261,45 +260,6 @@ Status tryLoadNetworkFile(nn::Sequential& net, const std::string& path) {
     return Status::Unavailable("loadNetworkFile: cannot open " + path);
   }
   return tryLoadNetwork(net, in);
-}
-
-namespace {
-
-/// Legacy save wrappers preserve their historical exception types: an
-/// unsupported layer was always std::invalid_argument, anything else
-/// std::runtime_error.
-void throwForSave(const Status& status) {
-  if (status.code() == StatusCode::kInvalidArgument ||
-      status.code() == StatusCode::kFailedPrecondition) {
-    throw std::invalid_argument(status.message());
-  }
-  throw std::runtime_error(status.toString());
-}
-
-}  // namespace
-
-void saveNetwork(const nn::Sequential& net, std::ostream& out) {
-  if (Status status = trySaveNetwork(net, out); !status.ok()) {
-    throwForSave(status);
-  }
-}
-
-void saveNetworkFile(const nn::Sequential& net, const std::string& path) {
-  if (Status status = trySaveNetworkFile(net, path); !status.ok()) {
-    throwForSave(status);
-  }
-}
-
-void loadNetwork(nn::Sequential& net, std::istream& in) {
-  if (Status status = tryLoadNetwork(net, in); !status.ok()) {
-    throw std::runtime_error(status.toString());
-  }
-}
-
-void loadNetworkFile(nn::Sequential& net, const std::string& path) {
-  if (Status status = tryLoadNetworkFile(net, path); !status.ok()) {
-    throw std::runtime_error(status.toString());
-  }
 }
 
 }  // namespace pcnn::eedn

@@ -36,15 +36,4 @@ Status trySaveNetworkFile(const nn::Sequential& net, const std::string& path);
 Status tryLoadNetwork(nn::Sequential& net, std::istream& in);
 Status tryLoadNetworkFile(nn::Sequential& net, const std::string& path);
 
-/// Legacy throwing wrappers over the try* variants. The save forms throw
-/// std::invalid_argument for an unsupported layer type and
-/// std::runtime_error on write failure; the load forms throw
-/// std::runtime_error carrying the status text.
-void saveNetwork(const nn::Sequential& net, std::ostream& out);
-void saveNetworkFile(const nn::Sequential& net, const std::string& path);
-[[deprecated("use tryLoadNetwork")]] void loadNetwork(nn::Sequential& net,
-                                                      std::istream& in);
-[[deprecated("use tryLoadNetworkFile")]] void loadNetworkFile(
-    nn::Sequential& net, const std::string& path);
-
 }  // namespace pcnn::eedn

@@ -4,7 +4,6 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
 #include "io/io.hpp"
 
@@ -126,45 +125,6 @@ StatusOr<LinearSvm> tryLoadModelFile(const std::string& path) {
     return Status::Unavailable("loadModelFile: cannot open " + path);
   }
   return tryLoadModel(in);
-}
-
-namespace {
-
-/// Legacy save wrappers preserve their historical exception types: an
-/// untrained model was always std::invalid_argument, anything else
-/// std::runtime_error.
-void throwForSave(const Status& status) {
-  if (status.code() == StatusCode::kFailedPrecondition ||
-      status.code() == StatusCode::kInvalidArgument) {
-    throw std::invalid_argument(status.message());
-  }
-  throw std::runtime_error(status.toString());
-}
-
-}  // namespace
-
-void saveModel(const LinearSvm& model, std::ostream& out) {
-  if (Status status = trySaveModel(model, out); !status.ok()) {
-    throwForSave(status);
-  }
-}
-
-void saveModelFile(const LinearSvm& model, const std::string& path) {
-  if (Status status = trySaveModelFile(model, path); !status.ok()) {
-    throwForSave(status);
-  }
-}
-
-LinearSvm loadModel(std::istream& in) {
-  StatusOr<LinearSvm> loaded = tryLoadModel(in);
-  if (!loaded.ok()) throw std::runtime_error(loaded.status().toString());
-  return std::move(loaded).value();
-}
-
-LinearSvm loadModelFile(const std::string& path) {
-  StatusOr<LinearSvm> loaded = tryLoadModelFile(path);
-  if (!loaded.ok()) throw std::runtime_error(loaded.status().toString());
-  return std::move(loaded).value();
 }
 
 }  // namespace pcnn::svm

@@ -29,14 +29,4 @@ Status trySaveModelFile(const LinearSvm& model, const std::string& path);
 StatusOr<LinearSvm> tryLoadModel(std::istream& in);
 StatusOr<LinearSvm> tryLoadModelFile(const std::string& path);
 
-/// Legacy throwing wrappers over the try* variants. The save forms throw
-/// std::invalid_argument for an untrained model and std::runtime_error on
-/// write failure; the load forms throw std::runtime_error carrying the
-/// status text.
-void saveModel(const LinearSvm& model, std::ostream& out);
-void saveModelFile(const LinearSvm& model, const std::string& path);
-[[deprecated("use tryLoadModel")]] LinearSvm loadModel(std::istream& in);
-[[deprecated("use tryLoadModelFile")]] LinearSvm loadModelFile(
-    const std::string& path);
-
 }  // namespace pcnn::svm

@@ -4,7 +4,6 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
 #include "io/io.hpp"
 
@@ -451,31 +450,6 @@ StatusOr<std::unique_ptr<Network>> tryLoadModelFile(const std::string& path,
     return Status::Unavailable("loadModelFile: cannot open " + path);
   }
   return tryLoadModel(in, seed);
-}
-
-void saveModel(const Network& network, std::ostream& out) {
-  if (Status status = trySaveModel(network, out); !status.ok()) {
-    throw std::runtime_error(status.toString());
-  }
-}
-
-void saveModelFile(const Network& network, const std::string& path) {
-  if (Status status = trySaveModelFile(network, path); !status.ok()) {
-    throw std::runtime_error(status.toString());
-  }
-}
-
-std::unique_ptr<Network> loadModel(std::istream& in, std::uint64_t seed) {
-  StatusOr<std::unique_ptr<Network>> loaded = tryLoadModel(in, seed);
-  if (!loaded.ok()) throw std::runtime_error(loaded.status().toString());
-  return std::move(loaded).value();
-}
-
-std::unique_ptr<Network> loadModelFile(const std::string& path,
-                                       std::uint64_t seed) {
-  StatusOr<std::unique_ptr<Network>> loaded = tryLoadModelFile(path, seed);
-  if (!loaded.ok()) throw std::runtime_error(loaded.status().toString());
-  return std::move(loaded).value();
 }
 
 }  // namespace pcnn::tn

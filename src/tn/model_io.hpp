@@ -38,13 +38,4 @@ StatusOr<std::unique_ptr<Network>> tryLoadModel(std::istream& in,
 StatusOr<std::unique_ptr<Network>> tryLoadModelFile(const std::string& path,
                                                     std::uint64_t seed = 1);
 
-/// Legacy throwing wrappers over the try* variants; they throw
-/// std::runtime_error carrying the status text on any failure.
-void saveModel(const Network& network, std::ostream& out);
-void saveModelFile(const Network& network, const std::string& path);
-[[deprecated("use tryLoadModel")]] std::unique_ptr<Network> loadModel(
-    std::istream& in, std::uint64_t seed = 1);
-[[deprecated("use tryLoadModelFile")]] std::unique_ptr<Network> loadModelFile(
-    const std::string& path, std::uint64_t seed = 1);
-
 }  // namespace pcnn::tn

@@ -148,8 +148,6 @@ TEST(GridDetector, NullCallablesRejected) {
 TEST(GridDetector, FindsBrightWindowWithToyScorer) {
   // Toy setting: features are cell means; the scorer fires on bright cells.
   GridDetectorParams params;
-  params.windowCellsX = 2;
-  params.windowCellsY = 4;
   params.scoreThreshold = 0.5f;
   params.pyramid.maxLevels = 1;
 
@@ -175,8 +173,6 @@ TEST(GridDetector, FindsBrightWindowWithToyScorer) {
 
 TEST(GridDetector, RawDetectionsExceedNmsDetections) {
   GridDetectorParams params;
-  params.windowCellsX = 2;
-  params.windowCellsY = 2;
   params.scoreThreshold = -1e9f;
   params.nmsEpsilon = 0.6f;  // adjacent windows overlap by exactly 50%
   params.pyramid.maxLevels = 1;
@@ -187,26 +183,23 @@ TEST(GridDetector, RawDetectionsExceedNmsDetections) {
   EXPECT_GT(detector.detectRaw(scene).size(), detector.detect(scene).size());
 }
 
-TEST(GridDetector, ThresholdOverrideAtDetectTime) {
-  // Every window scores 1.0; the construction-time threshold keeps them
-  // all, and a call-time override above the score drops them all without
-  // rebuilding the detector.
-  GridDetectorParams params;
-  params.windowCellsX = 2;
-  params.windowCellsY = 2;
-  params.scoreThreshold = 0.5f;
-  params.pyramid.maxLevels = 1;
+TEST(GridDetector, ThresholdIsSetAtConstruction) {
+  // Every window scores 1.0. The threshold is a construction-time knob:
+  // a detector built at or below the score keeps every window (a window
+  // scoring exactly the threshold is kept), one built above it keeps none.
   auto scorer = [](const std::vector<float>&) { return 1.0f; };
-  GridDetector detector(params, std::make_shared<ConstantExtractor>(2, 2),
+  auto detectorAt = [&](float threshold) {
+    GridDetectorParams params;
+    params.scoreThreshold = threshold;
+    params.pyramid.maxLevels = 1;
+    return GridDetector(params, std::make_shared<ConstantExtractor>(2, 2),
                         scorer);
-  vision::Image scene(48, 48, 0.5f);
-  const auto atDefault = detector.detectRaw(scene);
-  EXPECT_FALSE(atDefault.empty());
-  EXPECT_EQ(detector.detectRaw(scene, 0.5f).size(), atDefault.size());
-  EXPECT_TRUE(detector.detectRaw(scene, 2.0f).empty());
-  EXPECT_TRUE(detector.detect(scene, 2.0f).empty());
-  // The override is per call: the construction-time threshold still holds.
-  EXPECT_EQ(detector.detectRaw(scene).size(), atDefault.size());
+  };
+  vision::Image scene(48, 48, 0.5f);  // 6x6 cells: 5x5 two-cell windows
+  EXPECT_EQ(detectorAt(0.5f).detectRaw(scene).size(), 25u);
+  EXPECT_EQ(detectorAt(1.0f).detectRaw(scene).size(), 25u);
+  EXPECT_TRUE(detectorAt(2.0f).detectRaw(scene).empty());
+  EXPECT_TRUE(detectorAt(2.0f).detect(scene).empty());
 }
 
 TEST(PartitionedPipeline, TrainsOnExtractedFeatures) {

@@ -5,9 +5,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -79,6 +83,51 @@ TEST(ParallelFor, NestedCallsRunInline) {
     parallelFor(0, 8, [&](long inner) { hits[outer * 8 + inner].fetch_add(1); });
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, BackToBackJobsRunEveryChunkExactlyOnce) {
+  // Regression for a chunk-claim race: a worker that took an index from a
+  // job just as it ended could compare it with the next job's size, run a
+  // chunk another thread also ran, and drive the pending count below zero
+  // so that run() waited forever. Jobs of 2 and 64 chunks alternate back
+  // to back; every chunk of every job must run exactly once. A stalled
+  // pool fails the test through the watchdog instead of hanging the suite.
+  ThreadCountGuard guard(4);
+  constexpr int kJobs = 200000;
+  constexpr auto kStall = std::chrono::seconds(20);
+  std::atomic<int> jobsDone{0};
+  std::atomic<bool> finished{false};
+  std::thread watchdog([&] {
+    int seen = -1;
+    auto lastProgress = std::chrono::steady_clock::now();
+    while (!finished.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      const int now = jobsDone.load();
+      if (now != seen) {
+        seen = now;
+        lastProgress = std::chrono::steady_clock::now();
+      } else if (std::chrono::steady_clock::now() - lastProgress > kStall) {
+        std::fprintf(stderr, "pool stalled after %d jobs\n", now);
+        std::_Exit(1);
+      }
+    }
+  });
+  std::vector<std::atomic<int>> hits(64);
+  for (int job = 0; job < kJobs; ++job) {
+    const long chunks = job % 2 == 0 ? 2 : 64;
+    for (long i = 0; i < chunks; ++i) hits[i].store(0);
+    parallelFor(0, chunks, [&](long i) { hits[i].fetch_add(1); });
+    long wrong = 0;
+    for (long i = 0; i < chunks; ++i) wrong += hits[i].load() != 1;
+    jobsDone.store(job + 1);
+    if (wrong != 0) {
+      ADD_FAILURE() << "job " << job << ": " << wrong
+                    << " chunks did not run exactly once";
+      break;
+    }
+  }
+  finished = true;
+  watchdog.join();
 }
 
 TEST(ParallelForChunked, ChunkBoundariesIndependentOfThreadCount) {

@@ -373,18 +373,14 @@ TEST(ModelIo, RejectsCorruptStreamsWithTypedErrors) {
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kOutOfRange);
   }
-  // The legacy entry point still throws for existing callers.
-  std::stringstream bad("garbage");
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_THROW(tn::loadModel(bad), std::runtime_error);
-#pragma GCC diagnostic pop
+  std::stringstream garbage("garbage");
+  EXPECT_EQ(tn::tryLoadModel(garbage).status().code(), StatusCode::kDataLoss);
 }
 
 TEST(ModelIo, RoundTripSurvivesHardenedLoader) {
   auto net = makeRingNetwork(2);
   std::stringstream buffer;
-  tn::saveModel(*net, buffer);
+  ASSERT_TRUE(tn::trySaveModel(*net, buffer).ok());
   const auto loaded = tn::tryLoadModel(buffer);
   ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
   EXPECT_EQ((*loaded)->coreCount(), 2);
@@ -404,11 +400,13 @@ TEST(SvmSerialize, RejectsHostileHeaders) {
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
   }
-  std::stringstream bad("pcnn-svm-v1 134217729\n1.0 1.0\n0.5\n");
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_THROW(svm::loadModel(bad), std::runtime_error);
-#pragma GCC diagnostic pop
+  {
+    // A non-numeric weight where the header promised a number.
+    std::stringstream garbled("pcnn-svm-v1 2\n1.0 1.0\n0.5\n0.1 x");
+    const auto loaded = svm::tryLoadModel(garbled);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  }
 }
 
 TEST(EednSerialize, TruncatedStreamIsTypedDataLoss) {
@@ -416,7 +414,7 @@ TEST(EednSerialize, TruncatedStreamIsTypedDataLoss) {
   nn::Sequential net;
   net.add(std::make_unique<eedn::TrinaryDense>(12, 5, rng));
   std::stringstream buffer;
-  eedn::saveNetwork(net, buffer);
+  ASSERT_TRUE(eedn::trySaveNetwork(net, buffer).ok());
   const std::string text = buffer.str();
 
   pcnn::Rng rng2(32);
@@ -427,11 +425,10 @@ TEST(EednSerialize, TruncatedStreamIsTypedDataLoss) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
 
-  std::stringstream truncated2(text.substr(0, text.size() / 2));
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_THROW(eedn::loadNetwork(target, truncated2), std::runtime_error);
-#pragma GCC diagnostic pop
+  // Losing only the final byte is caught as well.
+  std::stringstream lastByteLost(text.substr(0, text.size() - 1));
+  EXPECT_EQ(eedn::tryLoadNetwork(target, lastByteLost).code(),
+            StatusCode::kDataLoss);
 
   // And the intact stream loads cleanly through the typed path.
   std::stringstream whole(text);
@@ -509,15 +506,35 @@ TEST(GridDetector, SkipsPoisonedLevelsAndReportsDegradation) {
   // Levels are 128, ~116, ~105, ~96 wide; the last two fail.
   core::GridDetector detector(params, std::make_shared<FlakyExtractor>(110),
                               scorer);
+  const bool metricsWere = obs::metricsEnabled();
+  obs::setMetricsEnabled(true);
+  obs::Counter& lostCounter = obs::counter("detect.windows_lost");
+  long counterBefore = lostCounter.value();
   core::DegradationReport report;
-  const auto detections = detector.detect(scene, -1e9f, &report);
+  const auto detections = detector.detect(scene, {}, &report);
+  const long detectCounted = lostCounter.value() - counterBefore;
   EXPECT_FALSE(detections.empty());  // surviving levels still detect
   EXPECT_EQ(report.levelsSkipped, 2);
   EXPECT_GT(report.windowsLost, 0);
+  EXPECT_EQ(detectCounted, report.windowsLost);
   ASSERT_EQ(report.skips.size(), 2u);
   EXPECT_FALSE(report.skips[0].status.ok());
   EXPECT_TRUE(report.degraded());
   EXPECT_NE(report.summary().find("degraded"), std::string::npos);
+
+  // The temporal path degrades the same levels and loses the same windows,
+  // in its report and in the detect.windows_lost counter.
+  std::vector<core::DegradationReport> reports;
+  counterBefore = lostCounter.value();
+  const core::BatchDetectResult batch =
+      detector.detectBatch({scene}, {}, &reports);
+  const long batchCounted = lostCounter.value() - counterBefore;
+  obs::setMetricsEnabled(metricsWere);
+  EXPECT_TRUE(batch.temporalEnabled);
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].levelsSkipped, report.levelsSkipped);
+  EXPECT_EQ(reports[0].windowsLost, report.windowsLost);
+  EXPECT_EQ(batchCounted, detectCounted);
 
   // A healthy detector leaves the report clean.
   core::GridDetector healthy(params, std::make_shared<FlakyExtractor>(0),
@@ -525,8 +542,8 @@ TEST(GridDetector, SkipsPoisonedLevelsAndReportsDegradation) {
   core::DegradationReport healthyReport;
   // Pre-NMS, the healthy detector keeps every window the degraded one kept
   // plus the two recovered levels' worth.
-  const auto healthyRaw = healthy.detectRaw(scene, -1e9f, &healthyReport);
-  const auto degradedRaw = detector.detectRaw(scene, -1e9f, nullptr);
+  const auto healthyRaw = healthy.detectRaw(scene, {}, &healthyReport);
+  const auto degradedRaw = detector.detectRaw(scene);
   EXPECT_GT(healthyRaw.size(), degradedRaw.size());
   EXPECT_FALSE(healthyReport.degraded());
   EXPECT_EQ(healthyReport.summary(), "healthy");
@@ -575,7 +592,7 @@ TEST(GridDetector, LostWindowsAreTalliedOnEveryScanPath) {
     calls = 0;
     long counterBefore = lostCounter.value();
     core::DegradationReport report;
-    const auto raw = detector.detectRaw(scene, -1e9f, &report);
+    const auto raw = detector.detectRaw(scene, {}, &report);
     EXPECT_GT(throws.load(), 0);
     EXPECT_LT(throws.load(), calls.load());
     EXPECT_EQ(report.windowsLost, throws.load());

@@ -166,20 +166,14 @@ TEST(Serialize, RoundTripPreservesDecisions) {
 TEST(Serialize, UntrainedModelRejected) {
   LinearSvm model;
   std::stringstream buffer;
-  EXPECT_THROW(saveModel(model, buffer), std::invalid_argument);
   EXPECT_EQ(trySaveModel(model, buffer).code(),
             pcnn::StatusCode::kFailedPrecondition);
 }
 
-// The deprecated throwing wrappers stay covered: existing callers rely on
-// their exception contract until they migrate to the try* forms.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(Serialize, BadHeaderThrows) {
+TEST(Serialize, BadHeaderIsDataLoss) {
   std::stringstream buffer("not-a-model 3");
-  EXPECT_THROW(loadModel(buffer), std::runtime_error);
+  EXPECT_EQ(tryLoadModel(buffer).status().code(), pcnn::StatusCode::kDataLoss);
 }
-#pragma GCC diagnostic pop
 
 TEST(Serialize, FileRoundTrip) {
   LinearSvm model;

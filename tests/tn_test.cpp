@@ -314,17 +314,21 @@ TEST(ModelIo, BadInputRejected) {
   EXPECT_FALSE(tryLoadModel(truncated).ok());
 }
 
-// The deprecated throwing wrappers stay covered: existing callers rely on
-// their exception contract until they migrate to the try* forms.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(ModelIo, LegacyLoadWrapperThrows) {
-  std::stringstream bad("wrong-magic 1");
-  EXPECT_THROW(loadModel(bad), std::runtime_error);
-  std::stringstream truncated("pcnn-tn-v1 1\ncore 0\nconn 0 3 1 2");
-  EXPECT_THROW(loadModel(truncated), std::runtime_error);
+TEST(ModelIo, TruncatedBinaryIsDataLoss) {
+  Network net(1);
+  net.addCore();
+  net.core(0).setConnection(4, 4, true);
+  std::stringstream buffer;
+  ASSERT_TRUE(trySaveModel(net, buffer).ok());
+  const std::string bytes = buffer.str();
+  for (std::size_t keep : {std::size_t{6}, bytes.size() / 2,
+                           bytes.size() - 1}) {
+    std::stringstream truncated(bytes.substr(0, keep));
+    EXPECT_EQ(tryLoadModel(truncated).status().code(),
+              pcnn::StatusCode::kDataLoss)
+        << "kept " << keep << " of " << bytes.size() << " bytes";
+  }
 }
-#pragma GCC diagnostic pop
 
 TEST(ModelIo, FileRoundTrip) {
   Network net(1);
