@@ -22,8 +22,10 @@ namespace pcnn::eedn {
 /// starts from the layer bias and adds/subtracts inputs in ascending
 /// input order -- the exact float operation sequence of
 /// TrinaryDense::forward -- so results are bit-identical to
-/// net.forward(sample, false) per sample. Gated by the parrot parity
-/// tests.
+/// net.forward(sample, false) per sample. Gated by the CompiledTrinaryNet
+/// parity tests in tests/eedn_test.cpp (the parrot layer stack and a net
+/// of edge rows, at batch sizes around the lane and tile widths, at 1 and
+/// 4 pool threads).
 ///
 /// The plan is a snapshot: callers must rebuild after any weight change
 /// (ParrotHog invalidates on train() and mutable net() access).

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include <cstdio>
 #include <sstream>
 
 #include "eedn/classifier.hpp"
+#include "eedn/compiled.hpp"
 #include "eedn/mapper.hpp"
 #include "eedn/partitioned.hpp"
 #include "eedn/serialize.hpp"
@@ -15,6 +18,8 @@
 #include "eedn/trinary_conv.hpp"
 #include "nn/dense.hpp"
 #include "nn/loss.hpp"
+#include "parrot/generator.hpp"
+#include "parrot/parrot.hpp"
 
 namespace pcnn::eedn {
 namespace {
@@ -516,6 +521,137 @@ TEST(TnMapper, RejectsUnsupportedLayers) {
   nn::Sequential net;
   net.add(std::make_unique<nn::Dense>(4, 2, rng));
   EXPECT_THROW(TnMapper::map(net), std::invalid_argument);
+}
+
+// --- CompiledTrinaryNet: batched plan == per-sample forward, bitwise ---
+
+class ThreadCountGuard {
+ public:
+  explicit ThreadCountGuard(int n) : saved_(threadCount()) {
+    setThreadCount(n);
+  }
+  ~ThreadCountGuard() { setThreadCount(saved_); }
+
+ private:
+  int saved_;
+};
+
+/// Batch sizes around the 8-column lane width and the 64-column tile
+/// (plus the 36- and 84-cell dirty rectangles of the temporal path).
+constexpr int kParityCounts[] = {0,  1,  7,  8,  9,  31, 32,
+                                 33, 36, 63, 64, 65, 84, 257};
+
+/// Exact floats (signed, mixed magnitudes) or k/4 spike rates -- the
+/// parrot's 4-spike stochastic input code.
+std::vector<float> parityInputs(int size, bool spikeRates,
+                                std::uint64_t seed) {
+  pcnn::Rng rng(seed);
+  std::vector<float> x(static_cast<std::size_t>(size));
+  for (float& v : x) {
+    v = spikeRates ? static_cast<float>(rng.uniformInt(0, 4)) / 4.0f
+                   : static_cast<float>(rng.uniform(-1.5, 2.5));
+  }
+  return x;
+}
+
+/// Every column s of forwardBatch must memcmp-equal
+/// net.forward(sample s, false), for every batch size in kParityCounts at
+/// 1 and 4 pool threads, with exact and spike-rate inputs. A batch of
+/// `count` samples is the first `count` of one fixed sample pool.
+void expectBatchMatchesPerSample(nn::Sequential& net) {
+  const CompiledTrinaryNet compiled(net);
+  const int in = compiled.inputSize();
+  const int out = compiled.outputSize();
+  ASSERT_EQ(in, net.layer(0).inputSize());
+  constexpr int kPool = 257;
+  for (const bool spikeRates : {false, true}) {
+    std::vector<std::vector<float>> samples;
+    std::vector<std::vector<float>> forwards;
+    for (int s = 0; s < kPool; ++s) {
+      samples.push_back(parityInputs(in, spikeRates, 1000u + s));
+      forwards.push_back(net.forward(samples.back(), false));
+      ASSERT_EQ(static_cast<int>(forwards.back().size()), out);
+    }
+    for (const int count : kParityCounts) {
+      std::vector<float> plane(static_cast<std::size_t>(in) * count);
+      for (int s = 0; s < count; ++s) {
+        for (int i = 0; i < in; ++i) {
+          plane[static_cast<std::size_t>(i) * count + s] = samples[s][i];
+        }
+      }
+      for (const int threads : {1, 4}) {
+        ThreadCountGuard guard(threads);
+        const std::vector<float> got = compiled.forwardBatch(plane, count);
+        ASSERT_EQ(got.size(), static_cast<std::size_t>(out) * count);
+        for (int s = 0; s < count; ++s) {
+          for (int j = 0; j < out; ++j) {
+            const float& batched = got[static_cast<std::size_t>(j) * count + s];
+            const float& single = forwards[s][j];
+            ASSERT_EQ(std::memcmp(&batched, &single, sizeof(float)), 0)
+                << "count " << count << ", sample " << s << ", output " << j
+                << ", " << threads << " threads, "
+                << (spikeRates ? "spike-rate" : "exact") << " inputs: "
+                << batched << " vs " << single;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CompiledTrinaryNet, ParrotStackBatchMatchesPerSampleForward) {
+  // The parrot's deployed layer stack (100 -> 504 -> 4 x 26 -> 18), after
+  // a short training run so weights and biases are off their init.
+  parrot::ParrotConfig config;
+  config.seed = 5;
+  parrot::ParrotHog hog(config);
+  hog.train(parrot::OrientedSampleGenerator(), 64, 1, 0.01f);
+  expectBatchMatchesPerSample(hog.net());
+}
+
+TEST(CompiledTrinaryNet, EdgeRowsMatchPerSampleForward) {
+  // Hand-built net with an all-zero row (bias only) and an all-negative
+  // row in each dense stage, odd widths, nonzero biases, and a threshold
+  // after the last stage.
+  pcnn::Rng rng(31);
+  nn::Sequential net;
+  auto first = std::make_unique<TrinaryDense>(11, 6, rng);
+  auto partitioned = std::make_unique<PartitionedDense>(6, 4, 3, rng);
+  auto last = std::make_unique<TrinaryDense>(6, 5, rng);
+  const auto shapeEdgeRows = [](TrinaryDense& layer) {
+    const int in = layer.inputSize();
+    for (int i = 0; i < in; ++i) {
+      layer.hiddenWeights()[static_cast<std::size_t>(i)] = 0.1f;  // dead
+      layer.hiddenWeights()[static_cast<std::size_t>(in + i)] = -0.9f;
+    }
+    for (int j = 0; j < layer.outputSize(); ++j) {
+      layer.biases()[static_cast<std::size_t>(j)] = 0.375f * (j - 2);
+    }
+  };
+  shapeEdgeRows(*first);
+  shapeEdgeRows(partitioned->mutableGroupLayer(0));
+  shapeEdgeRows(partitioned->mutableGroupLayer(1));
+  shapeEdgeRows(*last);
+  ASSERT_EQ(first->effectiveWeight(0, 3), 0);
+  ASSERT_EQ(first->effectiveWeight(1, 3), -1);
+  net.add(std::move(first));
+  net.add(std::make_unique<SpikingThreshold>(6, 2.0f));
+  net.add(std::move(partitioned));
+  net.add(std::make_unique<SpikingThreshold>(6, 2.0f));
+  net.add(std::move(last));
+  net.add(std::make_unique<SpikingThreshold>(5, 2.0f));
+  expectBatchMatchesPerSample(net);
+}
+
+TEST(CompiledTrinaryNet, RejectsMismatchedPlane) {
+  pcnn::Rng rng(32);
+  nn::Sequential net;
+  net.add(std::make_unique<TrinaryDense>(4, 3, rng));
+  const CompiledTrinaryNet compiled(net);
+  EXPECT_THROW(compiled.forwardBatch(std::vector<float>(7), 2),
+               std::invalid_argument);
+  EXPECT_THROW(compiled.forwardBatch({}, -1), std::invalid_argument);
+  EXPECT_TRUE(compiled.forwardBatch({}, 0).empty());
 }
 
 }  // namespace
