@@ -11,22 +11,60 @@
 namespace pcnn::eedn {
 namespace {
 
-/// Contiguous column-slice kernels; +=/-= per lane, so both clones
-/// auto-vectorize. Adding in ascending input order per output row keeps
-/// the float sequence identical to the scalar layer.
-PCNN_TARGET_CLONES
-void addRow(float* out, const float* in, int n) {
-  for (int s = 0; s < n; ++s) out[s] += in[s];
+/// A tile holds at most kTileColumns samples, padded to whole kLanes
+/// blocks. Its accumulators stay in registers across all of a row's taps
+/// (eight ymm registers in the AVX clone), so a row reads its taps once
+/// per tile.
+constexpr int kLanes = 8;
+constexpr int kTileColumns = 64;
+/// Tap indices carry the sign in bit 0, so a bank may read 2^15 inputs.
+constexpr int kMaxBankInputs = 1 << 15;
+
+/// rowTile over a tile of exactly `Blocks` lane blocks. The file is built
+/// with -fno-loop-unroll-and-jam: GCC would otherwise jam pairs of taps
+/// into a scalar loop that keeps the accumulators in memory.
+template <int Blocks>
+[[gnu::always_inline]] inline void rowPass(const std::uint16_t* taps, int n,
+                                           float bias, const float* in,
+                                           int stride, bool threshold,
+                                           float* out) {
+  // Indexed, not a conditional: a tap's sign is data, and a branch on it
+  // would mispredict about half the time.
+  static constexpr float kSign[2] = {1.0f, -1.0f};
+  constexpr int kColumns = Blocks * kLanes;
+  float acc[kColumns];
+  for (int k = 0; k < kColumns; ++k) acc[k] = bias;
+  for (int t = 0; t < n; ++t) {
+    const float* x = in + static_cast<std::size_t>(taps[t] >> 1) * stride;
+    const float sign = kSign[taps[t] & 1];
+    for (int k = 0; k < kColumns; ++k) acc[k] += x[k] * sign;
+  }
+  for (int k = 0; k < kColumns; ++k) {
+    out[k] = threshold ? (acc[k] >= 0.0f ? 1.0f : 0.0f) : acc[k];
+  }
 }
 
+/// One output row over one tile of `stride` columns (a multiple of kLanes,
+/// at most kTileColumns): out[s] = bias, then +/- in[tap][s] for each of
+/// the row's n taps in ascending input order, then the optional
+/// threshold. `acc + x * (-1)` is bitwise `acc - x` (IEEE 754 defines
+/// x - y as x + (-y), and the product is exact, so a fused multiply-add
+/// rounds once to the same value). Every operation is lane-wise, so
+/// padding columns never reach real ones.
 PCNN_TARGET_CLONES
-void subRow(float* out, const float* in, int n) {
-  for (int s = 0; s < n; ++s) out[s] -= in[s];
-}
-
-PCNN_TARGET_CLONES
-void thresholdRow(float* row, int n) {
-  for (int s = 0; s < n; ++s) row[s] = row[s] >= 0.0f ? 1.0f : 0.0f;
+void rowTile(const std::uint16_t* taps, int n, float bias, const float* in,
+             int stride, bool threshold, float* out) {
+  static_assert(kTileColumns == 8 * kLanes, "one case per block count");
+  switch (stride / kLanes) {
+    case 8: return rowPass<8>(taps, n, bias, in, stride, threshold, out);
+    case 7: return rowPass<7>(taps, n, bias, in, stride, threshold, out);
+    case 6: return rowPass<6>(taps, n, bias, in, stride, threshold, out);
+    case 5: return rowPass<5>(taps, n, bias, in, stride, threshold, out);
+    case 4: return rowPass<4>(taps, n, bias, in, stride, threshold, out);
+    case 3: return rowPass<3>(taps, n, bias, in, stride, threshold, out);
+    case 2: return rowPass<2>(taps, n, bias, in, stride, threshold, out);
+    default: return rowPass<1>(taps, n, bias, in, stride, threshold, out);
+  }
 }
 
 }  // namespace
@@ -34,20 +72,23 @@ void thresholdRow(float* row, int n) {
 CompiledTrinaryNet::CompiledTrinaryNet(const nn::Sequential& net) {
   auto compileBank = [](const TrinaryDense& layer, int inputOffset,
                         int outputOffset) {
+    if (layer.inputSize() > kMaxBankInputs) {
+      throw std::invalid_argument(
+          "CompiledTrinaryNet: a dense bank reads more than 32768 inputs");
+    }
     DenseGroup group;
     group.inputOffset = inputOffset;
-    group.inputSize = layer.inputSize();
     group.outputOffset = outputOffset;
-    group.outputSize = layer.outputSize();
-    group.weights.resize(static_cast<std::size_t>(group.outputSize) *
-                         group.inputSize);
-    group.biases.resize(static_cast<std::size_t>(group.outputSize));
-    for (int j = 0; j < group.outputSize; ++j) {
-      for (int i = 0; i < group.inputSize; ++i) {
-        group.weights[static_cast<std::size_t>(j) * group.inputSize + i] =
-            static_cast<std::int8_t>(layer.effectiveWeight(j, i));
+    group.rowStart.push_back(0);
+    for (int j = 0; j < layer.outputSize(); ++j) {
+      for (int i = 0; i < layer.inputSize(); ++i) {
+        const int w = layer.effectiveWeight(j, i);
+        if (w != 0) {
+          group.taps.push_back(static_cast<std::uint16_t>(i << 1 | (w < 0)));
+        }
       }
-      group.biases[static_cast<std::size_t>(j)] = layer.bias(j);
+      group.rowStart.push_back(static_cast<std::uint32_t>(group.taps.size()));
+      group.biases.push_back(layer.bias(j));
     }
     return group;
   };
@@ -103,57 +144,51 @@ std::vector<float> CompiledTrinaryNet::forwardBatch(
   std::vector<float> output(static_cast<std::size_t>(outputSize_) * count);
   if (count == 0) return output;
 
-  // Ping-pong scratch planes shared by all chunks: every chunk reads and
-  // writes only its own column range [lo, hi), so the split is race-free
-  // and the per-column results do not depend on the chunking.
-  std::vector<float> bufferA(static_cast<std::size_t>(maxWidth_) * count);
-  std::vector<float> bufferB(static_cast<std::size_t>(maxWidth_) * count);
-
-  parallelForChunked(
-      0, count, suggestedGrain(count), [&](long lo64, long hi64) {
-        const int lo = static_cast<int>(lo64);
-        const int width = static_cast<int>(hi64 - lo64);
-        const float* src = input.data();
-        for (std::size_t s = 0; s < stages_.size(); ++s) {
-          const Stage& stage = stages_[s];
-          float* dst = s + 1 == stages_.size() ? output.data()
-                       : s % 2 == 0           ? bufferA.data()
-                                              : bufferB.data();
-          for (const DenseGroup& group : stage.groups) {
-            for (int j = 0; j < group.outputSize; ++j) {
-              float* row =
-                  dst +
-                  static_cast<std::size_t>(group.outputOffset + j) * count +
-                  lo;
-              std::fill(row, row + width,
-                        group.biases[static_cast<std::size_t>(j)]);
-              const std::int8_t* weights =
-                  group.weights.data() +
-                  static_cast<std::size_t>(j) * group.inputSize;
-              for (int i = 0; i < group.inputSize; ++i) {
-                const int w = weights[i];
-                if (w == 0) continue;
-                const float* inRow =
-                    src +
-                    static_cast<std::size_t>(group.inputOffset + i) * count +
-                    lo;
-                if (w > 0) {
-                  addRow(row, inRow, width);
-                } else {
-                  subRow(row, inRow, width);
-                }
-              }
-            }
+  // Each chunk of tiles owns its two ping-pong planes; a tile's plane rows
+  // are `stride` (its width padded to whole lane blocks) floats apart. The
+  // input is copied in with zeroed padding, and only real columns are
+  // copied out, so tiles are independent and results do not depend on
+  // the chunking.
+  const auto padded = [](int columns) {
+    return (columns + kLanes - 1) / kLanes * kLanes;
+  };
+  const int tiles = (count + kTileColumns - 1) / kTileColumns;
+  parallelForChunked(0, tiles, suggestedGrain(tiles), [&](long t0, long t1) {
+    std::vector<float> planes(2 * static_cast<std::size_t>(maxWidth_) *
+                              padded(std::min(count, kTileColumns)));
+    for (long t = t0; t < t1; ++t) {
+      const int lo = static_cast<int>(t) * kTileColumns;
+      const int width = std::min(kTileColumns, count - lo);
+      const int stride = padded(width);
+      float* src = planes.data();
+      float* dst = src + static_cast<std::size_t>(maxWidth_) * stride;
+      for (int i = 0; i < inputSize_; ++i) {
+        const float* from = input.data() + static_cast<std::size_t>(i) * count + lo;
+        float* row = src + static_cast<std::size_t>(i) * stride;
+        std::copy(from, from + width, row);
+        std::fill(row + width, row + stride, 0.0f);
+      }
+      for (const Stage& stage : stages_) {
+        for (const DenseGroup& group : stage.groups) {
+          const float* in =
+              src + static_cast<std::size_t>(group.inputOffset) * stride;
+          for (std::size_t j = 0; j < group.biases.size(); ++j) {
+            const std::uint32_t begin = group.rowStart[j];
+            rowTile(group.taps.data() + begin,
+                    static_cast<int>(group.rowStart[j + 1] - begin),
+                    group.biases[j], in, stride, stage.thresholdAfter,
+                    dst + (group.outputOffset + j) * stride);
           }
-          if (stage.thresholdAfter) {
-            for (int r = 0; r < stage.outputSize; ++r) {
-              thresholdRow(dst + static_cast<std::size_t>(r) * count + lo,
-                           width);
-            }
-          }
-          src = dst;
         }
-      });
+        std::swap(src, dst);
+      }
+      for (int r = 0; r < outputSize_; ++r) {
+        const float* row = src + static_cast<std::size_t>(r) * stride;
+        std::copy(row, row + width,
+                  output.data() + static_cast<std::size_t>(r) * count + lo);
+      }
+    }
+  });
   return output;
 }
 

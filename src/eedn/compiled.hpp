@@ -13,10 +13,11 @@ namespace pcnn::eedn {
 /// The training path re-trinarizes every hidden float weight on every
 /// forward() call (so training always sees the deployment function); at
 /// inference that work is pure waste -- the parrot extractor alone was
-/// re-projecting ~54k weights per cell. Compiling snapshots the trinary
-/// weights once (int8) and evaluates many samples at a time over
-/// feature-major activation planes, so the inner loops are contiguous
-/// float adds that vectorize.
+/// re-projecting ~54k weights per cell. Compiling turns each output row
+/// into its ascending list of nonzero taps (input index and sign) once,
+/// and evaluates a batch in column tiles of at most 64 samples: a tile
+/// runs through every stage before the next starts, and each row of a
+/// tile is one register-resident signed sum (DESIGN.md 5l).
 ///
 /// Bitwise contract: for each (sample, output) pair the accumulation
 /// starts from the layer bias and adds/subtracts inputs in ascending
@@ -39,22 +40,22 @@ class CompiledTrinaryNet {
   /// Evaluates `count` samples. `input` is a feature-major plane of
   /// inputSize() rows by `count` columns (input[i * count + s] = feature i
   /// of sample s); the returned plane has outputSize() rows in the same
-  /// layout. Samples are split over the global thread pool; every sample's
-  /// column is computed independently, so results are thread-count
-  /// invariant.
+  /// layout. Column tiles are split over the global thread pool; every
+  /// sample's column is computed independently, so results are
+  /// thread-count invariant.
   std::vector<float> forwardBatch(const std::vector<float>& input,
                                   int count) const;
 
  private:
-  /// One trinary bank: `weights` is outputSize x inputSize row-major int8
-  /// in {-1, 0, +1}, reading rows [inputOffset, inputOffset + inputSize)
+  /// One trinary bank reading rows [inputOffset, inputOffset + inputSize)
   /// of the stage input plane and writing rows starting at outputOffset.
+  /// Row j's nonzero weights are taps[rowStart[j], rowStart[j + 1]) in
+  /// ascending input order, each (input index << 1) | (weight == -1).
   struct DenseGroup {
     int inputOffset = 0;
-    int inputSize = 0;
     int outputOffset = 0;
-    int outputSize = 0;
-    std::vector<std::int8_t> weights;
+    std::vector<std::uint16_t> taps;
+    std::vector<std::uint32_t> rowStart;
     std::vector<float> biases;
   };
   /// One dense stage (a TrinaryDense, or every group of a
@@ -69,7 +70,7 @@ class CompiledTrinaryNet {
   std::vector<Stage> stages_;
   int inputSize_ = 0;
   int outputSize_ = 0;
-  int maxWidth_ = 0;  ///< widest stage activation, sizes the scratch planes
+  int maxWidth_ = 0;  ///< widest stage activation, sizes the tile planes
 };
 
 }  // namespace pcnn::eedn

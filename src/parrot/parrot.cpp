@@ -13,20 +13,6 @@
 namespace pcnn::parrot {
 namespace {
 constexpr int kPatchSize = 100;  // 10x10 input field
-
-/// Reads the 10x10 input field of the cell whose top-left pixel is
-/// (x0, y0), in the same pixel order as cellHistogramWith.
-void gatherPatch(const vision::Image& img, int x0, int y0,
-                 std::vector<float>& patch) {
-  int i = 0;
-  for (int y = 0; y < 10; ++y) {
-    for (int x = 0; x < 10; ++x) {
-      patch[static_cast<std::size_t>(i++)] =
-          img.atClamped(x0 - 1 + x, y0 - 1 + y);
-    }
-  }
-}
-
 }  // namespace
 
 ParrotHog::ParrotHog(const ParrotConfig& config)
@@ -67,36 +53,37 @@ int ParrotHog::mappedCoresPerCell() const {
   return hiddenCores + mergeCores + 1;
 }
 
-std::vector<float> ParrotHog::encodeInput(const std::vector<float>& patch) {
-  return encodeInputWith(patch, codingRng_);
+float ParrotHog::codePixel(float v, pcnn::Rng& rng) const {
+  const int k = config_.inputSpikes;
+  if (k <= 0) return v;
+  const double p = std::clamp(v, 0.0f, 1.0f);
+  int spikes = 0;
+  for (int s = 0; s < k; ++s) {
+    if (rng.bernoulli(p)) ++spikes;
+  }
+  return static_cast<float>(spikes) / static_cast<float>(k);
 }
 
-std::vector<float> ParrotHog::encodeInputWith(const std::vector<float>& patch,
-                                              pcnn::Rng& rng) const {
-  if (config_.inputSpikes <= 0) return patch;
-  std::vector<float> coded(patch.size());
-  const int k = config_.inputSpikes;
-  for (std::size_t i = 0; i < patch.size(); ++i) {
-    const float v = std::clamp(patch[i], 0.0f, 1.0f);
-    int spikes = 0;
-    for (int s = 0; s < k; ++s) {
-      if (rng.bernoulli(v)) ++spikes;
+void ParrotHog::encodeField(const vision::Image& img, int x0, int y0,
+                            pcnn::Rng& rng, float* out,
+                            std::size_t stride) const {
+  for (int y = 0; y < 10; ++y) {
+    for (int x = 0; x < 10; ++x) {
+      *out = codePixel(img.atClamped(x0 - 1 + x, y0 - 1 + y), rng);
+      out += stride;
     }
-    coded[i] = static_cast<float>(spikes) / static_cast<float>(k);
   }
-  return coded;
 }
 
 std::vector<float> ParrotHog::infer(const std::vector<float>& patch) {
-  return inferWith(patch, codingRng_);
-}
-
-std::vector<float> ParrotHog::inferWith(const std::vector<float>& patch,
-                                        pcnn::Rng& rng) {
   if (static_cast<int>(patch.size()) != kPatchSize) {
     throw std::invalid_argument("ParrotHog::infer: patch must be 10x10");
   }
-  return net_.forward(encodeInputWith(patch, rng), false);
+  std::vector<float> coded(patch.size());
+  for (std::size_t i = 0; i < patch.size(); ++i) {
+    coded[i] = codePixel(patch[i], codingRng_);
+  }
+  return net_.forward(coded, false);
 }
 
 const eedn::CompiledTrinaryNet& ParrotHog::compiledNet() {
@@ -178,20 +165,9 @@ double ParrotHog::dominantBinAccuracy(const OrientedSampleGenerator& generator,
 
 std::vector<float> ParrotHog::cellHistogram(const vision::Image& img, int x0,
                                             int y0) {
-  return cellHistogramWith(img, x0, y0, codingRng_);
-}
-
-std::vector<float> ParrotHog::cellHistogramWith(const vision::Image& img,
-                                                int x0, int y0,
-                                                pcnn::Rng& rng) {
-  std::vector<float> patch(static_cast<std::size_t>(kPatchSize));
-  int i = 0;
-  for (int y = 0; y < 10; ++y) {
-    for (int x = 0; x < 10; ++x) {
-      patch[i++] = img.atClamped(x0 - 1 + x, y0 - 1 + y);
-    }
-  }
-  std::vector<float> out = inferWith(patch, rng);
+  std::vector<float> coded(static_cast<std::size_t>(kPatchSize));
+  encodeField(img, x0, y0, codingRng_, coded.data(), 1);
+  std::vector<float> out = net_.forward(coded, false);
   // The parrot regresses vote counts directly; clamp to the physical range
   // (a cell casts at most 64 votes) so features match NApprox's scale.
   for (float& v : out) v = std::clamp(v, 0.0f, 64.0f);
@@ -213,20 +189,16 @@ hog::CellGrid ParrotHog::computeCellsWith(const vision::Image& img,
   if (count == 0) return grid;
   const eedn::CompiledTrinaryNet& net = compiledNet();
 
-  // Gather and spike-encode every cell's patch in row-major cell order --
-  // the exact coding-stream draw order of the per-cell path -- into a
-  // feature-major activation plane, then run the whole grid through the
-  // compiled net in one batch.
+  // Spike-encode every cell's field in row-major cell order -- the exact
+  // coding-stream draw order of the per-cell path -- straight into its
+  // column of a feature-major activation plane, then run the whole grid
+  // through the compiled net in one batch.
   std::vector<float> plane(static_cast<std::size_t>(kPatchSize) * count);
-  std::vector<float> patch(static_cast<std::size_t>(kPatchSize));
   int cell = 0;
   for (int cy = 0; cy < grid.cellsY; ++cy) {
     for (int cx = 0; cx < grid.cellsX; ++cx, ++cell) {
-      gatherPatch(img, cx * 8, cy * 8, patch);
-      const std::vector<float> coded = encodeInputWith(patch, rng);
-      for (int i = 0; i < kPatchSize; ++i) {
-        plane[static_cast<std::size_t>(i) * count + cell] = coded[i];
-      }
+      encodeField(img, cx * 8, cy * 8, rng, plane.data() + cell,
+                  static_cast<std::size_t>(count));
     }
   }
   const std::vector<float> out = net.forwardBatch(plane, count);

@@ -114,13 +114,14 @@ class ParrotHog {
   int mappedCoresPerCell() const;
 
  private:
-  std::vector<float> encodeInput(const std::vector<float>& patch);
-  std::vector<float> encodeInputWith(const std::vector<float>& patch,
-                                     pcnn::Rng& rng) const;
-  std::vector<float> inferWith(const std::vector<float>& patch,
-                               pcnn::Rng& rng);
-  std::vector<float> cellHistogramWith(const vision::Image& img, int x0,
-                                       int y0, pcnn::Rng& rng);
+  /// One input pixel as the net sees it: exact when inputSpikes <= 0,
+  /// else Binomial(k, clamp(v, 0, 1))/k from k Bernoulli draws on `rng`.
+  float codePixel(float v, pcnn::Rng& rng) const;
+  /// Codes the 10x10 input field of the cell whose top-left pixel is
+  /// (x0, y0), in row-major pixel order, into out[i * stride]. Every
+  /// per-cell path goes through here, so all draw in the same order.
+  void encodeField(const vision::Image& img, int x0, int y0, pcnn::Rng& rng,
+                   float* out, std::size_t stride) const;
   hog::CellGrid computeCellsWith(const vision::Image& img, pcnn::Rng& rng);
   ParrotConfig config_;
   pcnn::Rng rng_;
