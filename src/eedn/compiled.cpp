@@ -163,7 +163,8 @@ std::vector<float> CompiledTrinaryNet::forwardBatch(
       float* src = planes.data();
       float* dst = src + static_cast<std::size_t>(maxWidth_) * stride;
       for (int i = 0; i < inputSize_; ++i) {
-        const float* from = input.data() + static_cast<std::size_t>(i) * count + lo;
+        const float* from =
+            input.data() + static_cast<std::size_t>(i) * count + lo;
         float* row = src + static_cast<std::size_t>(i) * stride;
         std::copy(from, from + width, row);
         std::fill(row + width, row + stride, 0.0f);
