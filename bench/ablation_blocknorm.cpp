@@ -5,16 +5,21 @@
 // SVM window-classification accuracy with and without L2 block
 // normalization, for the float HoG and the NApprox extractor.
 #include <cstdio>
+#include <functional>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "hog/hog.hpp"
 #include "napprox/napprox.hpp"
 #include "svm/linear_svm.hpp"
-#include "svm/mining.hpp"
 
 namespace {
 
-double svmValAccuracy(const pcnn::svm::WindowExtractor& extract,
+/// Descriptor of one standalone window.
+using WindowExtractor =
+    std::function<std::vector<float>(const pcnn::vision::Image&)>;
+
+double svmValAccuracy(const WindowExtractor& extract,
                       const pcnn::bench::BenchDataset& data,
                       const std::vector<pcnn::vision::Image>& valWindows,
                       const std::vector<int>& valLabels) {

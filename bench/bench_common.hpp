@@ -19,6 +19,8 @@
 #include "io/bundle.hpp"
 #include "obs/provenance.hpp"
 #include "tn/engine.hpp"
+#include "vision/pyramid.hpp"
+#include "vision/sliding_window.hpp"
 #include "vision/synth.hpp"
 
 namespace pcnn::bench {
@@ -57,6 +59,26 @@ inline std::string provenanceJson() {
 /// Prints the provenance line benches emit before their rows.
 inline void printProvenance() {
   std::printf("provenance: %s\n", provenanceJson().c_str());
+}
+
+/// Windows a scan of `scene` visits: the sum over pyramid levels of the
+/// level's window span, ((width - windowWidth) / strideX + 1) x
+/// ((height - windowHeight) / strideY + 1), as the detector's level scan
+/// lays its score plane out at a one-cell stride.
+inline long windowCount(const vision::Image& scene,
+                        const vision::SlidingWindowParams& scan) {
+  vision::PyramidParams pp = scan.pyramid;
+  pp.minWidth = scan.windowWidth;
+  pp.minHeight = scan.windowHeight;
+  long count = 0;
+  for (const vision::PyramidLevel& level : vision::buildPyramid(scene, pp)) {
+    const long spanX =
+        (level.image.width() - scan.windowWidth) / scan.strideX + 1;
+    const long spanY =
+        (level.image.height() - scan.windowHeight) / scan.strideY + 1;
+    count += spanX * spanY;
+  }
+  return count;
 }
 
 /// Standard synthetic dataset sizes used across benches.

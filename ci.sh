@@ -8,6 +8,15 @@ cd "$(dirname "$0")"
 
 BUILD_DIR="${1:-build}"
 
+# No deprecated shims: a superseded API is deleted with its last caller,
+# not kept behind [[deprecated]] with -Wdeprecated-declarations pragmas
+# silencing the callers that still use it.
+if grep -rn -e '\[\[deprecated' -e 'Wdeprecated-declarations' \
+    src bench examples tests; then
+  echo "ci.sh: deprecated shim or deprecation-warning suppression above"
+  exit 1
+fi
+
 cmake -B "$BUILD_DIR" -S . -DPCNN_WERROR=ON
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"

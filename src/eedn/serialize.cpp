@@ -16,78 +16,6 @@ namespace {
 constexpr char kMagic[5] = "PEDN";
 constexpr std::uint32_t kVersion = 2;
 
-// --- v1 whitespace-text reader (legacy files; never written anymore) ----
-
-Status loadTrinaryV1(TrinaryDense& layer, std::istream& in) {
-  std::string tag;
-  int inSize = 0, outSize = 0;
-  if (!(in >> tag >> inSize >> outSize) || tag != "TrinaryDense" ||
-      inSize != layer.inputSize() || outSize != layer.outputSize()) {
-    return Status::DataLoss("loadNetwork: TrinaryDense shape mismatch");
-  }
-  for (float& w : layer.hiddenWeights()) {
-    if (!(in >> w)) {
-      return Status::DataLoss("loadNetwork: truncated weights");
-    }
-    if (!std::isfinite(w)) {
-      return Status::OutOfRange("loadNetwork: non-finite weight");
-    }
-  }
-  for (float& b : layer.biases()) {
-    if (!(in >> b)) {
-      return Status::DataLoss("loadNetwork: truncated biases");
-    }
-    if (!std::isfinite(b)) {
-      return Status::OutOfRange("loadNetwork: non-finite bias");
-    }
-  }
-  return Status::Ok();
-}
-
-Status tryLoadNetworkV1(nn::Sequential& net, std::istream& in) {
-  std::string magic;
-  std::size_t layerCount = 0;
-  if (!(in >> magic >> layerCount) || magic != "pcnn-eedn-v1" ||
-      layerCount != net.layerCount()) {
-    return Status::DataLoss("loadNetwork: bad header or layer count");
-  }
-  for (std::size_t i = 0; i < net.layerCount(); ++i) {
-    nn::Layer& layer = net.layer(i);
-    if (auto* td = dynamic_cast<TrinaryDense*>(&layer)) {
-      if (Status status = loadTrinaryV1(*td, in); !status.ok()) {
-        return status;
-      }
-    } else if (auto* pd = dynamic_cast<PartitionedDense*>(&layer)) {
-      std::string tag;
-      int groups = 0;
-      if (!(in >> tag >> groups) || tag != "PartitionedDense" ||
-          groups != pd->groupCount()) {
-        return Status::DataLoss("loadNetwork: PartitionedDense mismatch");
-      }
-      for (int g = 0; g < groups; ++g) {
-        if (Status status = loadTrinaryV1(pd->mutableGroupLayer(g), in);
-            !status.ok()) {
-          return status;
-        }
-      }
-    } else if (dynamic_cast<SpikingThreshold*>(&layer) != nullptr) {
-      std::string tag;
-      int size = 0;
-      float width = 0.0f;
-      if (!(in >> tag >> size >> width) || tag != "SpikingThreshold" ||
-          size != layer.inputSize()) {
-        return Status::DataLoss("loadNetwork: SpikingThreshold mismatch");
-      }
-    } else {
-      return Status::InvalidArgument(
-          "loadNetwork: unsupported layer type in Eedn network");
-    }
-  }
-  return Status::Ok();
-}
-
-// --- v2 chunked binary over io::Writer/io::Reader ------------------------
-
 void packTrinary(const TrinaryDense& layer, io::Writer& w) {
   w.u32(static_cast<std::uint32_t>(layer.inputSize()));
   w.u32(static_cast<std::uint32_t>(layer.outputSize()));
@@ -122,7 +50,57 @@ Status unpackTrinary(TrinaryDense& layer, io::Reader& r) {
   return Status::Ok();
 }
 
-Status tryLoadNetworkV2(nn::Sequential& net, std::istream& in) {
+}  // namespace
+
+Status trySaveNetwork(const nn::Sequential& net, std::ostream& out) {
+  io::Writer w(out);
+  w.header(kMagic, kVersion);
+  {
+    std::ostringstream payload;
+    io::Writer pw(payload);
+    pw.u32(static_cast<std::uint32_t>(net.layerCount()));
+    w.chunk("NETW", payload.str());
+  }
+  for (std::size_t i = 0; i < net.layerCount(); ++i) {
+    const nn::Layer& layer = net.layer(i);
+    std::ostringstream payload;
+    io::Writer pw(payload);
+    if (const auto* td = dynamic_cast<const TrinaryDense*>(&layer)) {
+      packTrinary(*td, pw);
+      if (!pw.status().ok()) return pw.status();
+      w.chunk("TDNS", payload.str());
+    } else if (const auto* pd =
+                   dynamic_cast<const PartitionedDense*>(&layer)) {
+      pw.u32(static_cast<std::uint32_t>(pd->groupCount()));
+      for (int g = 0; g < pd->groupCount(); ++g) {
+        packTrinary(*pd->group(g).layer, pw);
+      }
+      if (!pw.status().ok()) return pw.status();
+      w.chunk("PDNS", payload.str());
+    } else if (const auto* spike =
+                   dynamic_cast<const SpikingThreshold*>(&layer)) {
+      pw.u32(static_cast<std::uint32_t>(spike->inputSize()));
+      pw.f32(spike->steWidth());
+      if (!pw.status().ok()) return pw.status();
+      w.chunk("SPKT", payload.str());
+    } else {
+      return Status::InvalidArgument(
+          "saveNetwork: unsupported layer type in Eedn network");
+    }
+  }
+  return w.status();
+}
+
+Status trySaveNetworkFile(const nn::Sequential& net,
+                          const std::string& path) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) {
+    return Status::Unavailable("saveNetworkFile: cannot open " + path);
+  }
+  return trySaveNetwork(net, out);
+}
+
+Status tryLoadNetwork(nn::Sequential& net, std::istream& in) {
   io::Reader r(in);
   if (!r.header(kMagic, kVersion).ok()) return r.status();
 
@@ -197,61 +175,6 @@ Status tryLoadNetworkV2(nn::Sequential& net, std::istream& in) {
     }
   }
   return Status::Ok();
-}
-
-}  // namespace
-
-Status trySaveNetwork(const nn::Sequential& net, std::ostream& out) {
-  io::Writer w(out);
-  w.header(kMagic, kVersion);
-  {
-    std::ostringstream payload;
-    io::Writer pw(payload);
-    pw.u32(static_cast<std::uint32_t>(net.layerCount()));
-    w.chunk("NETW", payload.str());
-  }
-  for (std::size_t i = 0; i < net.layerCount(); ++i) {
-    const nn::Layer& layer = net.layer(i);
-    std::ostringstream payload;
-    io::Writer pw(payload);
-    if (const auto* td = dynamic_cast<const TrinaryDense*>(&layer)) {
-      packTrinary(*td, pw);
-      if (!pw.status().ok()) return pw.status();
-      w.chunk("TDNS", payload.str());
-    } else if (const auto* pd =
-                   dynamic_cast<const PartitionedDense*>(&layer)) {
-      pw.u32(static_cast<std::uint32_t>(pd->groupCount()));
-      for (int g = 0; g < pd->groupCount(); ++g) {
-        packTrinary(*pd->group(g).layer, pw);
-      }
-      if (!pw.status().ok()) return pw.status();
-      w.chunk("PDNS", payload.str());
-    } else if (const auto* spike =
-                   dynamic_cast<const SpikingThreshold*>(&layer)) {
-      pw.u32(static_cast<std::uint32_t>(spike->inputSize()));
-      pw.f32(spike->steWidth());
-      if (!pw.status().ok()) return pw.status();
-      w.chunk("SPKT", payload.str());
-    } else {
-      return Status::InvalidArgument(
-          "saveNetwork: unsupported layer type in Eedn network");
-    }
-  }
-  return w.status();
-}
-
-Status trySaveNetworkFile(const nn::Sequential& net,
-                          const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::Unavailable("saveNetworkFile: cannot open " + path);
-  }
-  return trySaveNetwork(net, out);
-}
-
-Status tryLoadNetwork(nn::Sequential& net, std::istream& in) {
-  if (io::peekMagic(in) == kMagic) return tryLoadNetworkV2(net, in);
-  return tryLoadNetworkV1(net, in);
 }
 
 Status tryLoadNetworkFile(nn::Sequential& net, const std::string& path) {

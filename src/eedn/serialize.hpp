@@ -16,11 +16,10 @@ namespace pcnn::eedn {
 /// Hidden (float) weights are stored so that training can resume after a
 /// round trip, not just the trinarized deployment values.
 ///
-/// The current wire format ("PEDN" v2) is a chunked binary container over
-/// the shared io::Writer/io::Reader layer -- one chunk per layer,
-/// bitwise-exact float round trips. The v1 whitespace-text format
-/// ("pcnn-eedn-v1") is still read (the loader sniffs the magic) but no
-/// longer written.
+/// The wire format ("PEDN" v2) is a chunked binary container over the
+/// shared io::Writer/io::Reader layer -- one chunk per layer, bitwise-exact
+/// float round trips. It is the only format read; the retired v1
+/// whitespace text fails at the magic check as kDataLoss.
 
 /// Status-returning save: kInvalidArgument for an unsupported layer type,
 /// kDataLoss on write failure.

@@ -1,16 +1,15 @@
 #include "obs/provenance.hpp"
 
-#include <cstdio>
 #include <thread>
 
 #include "common/env.hpp"
 #include "obs/obs.hpp"
 
-#ifndef PCNN_SOURCE_DIR
-#define PCNN_SOURCE_DIR "."
-#endif
-
 namespace pcnn::obs {
+
+/// Short HEAD SHA (plus "-dirty") of the checkout this binary was built
+/// from, or "unknown"; defined in the git_sha.cpp the build generates.
+extern const char kBuildGitSha[];
 
 namespace {
 
@@ -18,29 +17,11 @@ std::string envOrUnset(const char* name) {
   return env::str(name, "unset");
 }
 
-std::string gitShortSha() {
-  // popen rather than a configure-time bake: the SHA tracks the checkout,
-  // not the last cmake run. Failure (no git, not a repo) is expected on
-  // deployed hosts and degrades to "unknown".
-  std::FILE* pipe = ::popen(
-      "git -C \"" PCNN_SOURCE_DIR "\" rev-parse --short HEAD 2>/dev/null",
-      "r");
-  if (!pipe) return "unknown";
-  char buf[64] = {};
-  const std::size_t n = std::fread(buf, 1, sizeof(buf) - 1, pipe);
-  ::pclose(pipe);
-  std::string sha(buf, n);
-  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
-    sha.pop_back();
-  }
-  return sha.empty() ? "unknown" : sha;
-}
-
 }  // namespace
 
 Provenance provenance() {
   Provenance p;
-  p.gitSha = gitShortSha();
+  p.gitSha = kBuildGitSha;
   p.hardwareThreads = std::thread::hardware_concurrency();
   p.simdEnv = envOrUnset("PCNN_SIMD");
   p.numThreadsEnv = envOrUnset("PCNN_NUM_THREADS");

@@ -10,7 +10,7 @@ namespace pcnn::obs {
 /// JSON artifact carries the same fields instead of hand-rolling its own
 /// subset (BENCH_detect.json used to assemble these inline).
 struct Provenance {
-  std::string gitSha;         ///< short HEAD SHA, or "unknown"
+  std::string gitSha;         ///< short build SHA [+ "-dirty"] or "unknown"
   unsigned hardwareThreads;   ///< std::thread::hardware_concurrency()
   std::string simdEnv;        ///< PCNN_SIMD value, or "unset"
   std::string numThreadsEnv;  ///< PCNN_NUM_THREADS value, or "unset"
@@ -22,9 +22,10 @@ struct Provenance {
   std::string obsBuild;       ///< "on" / "off" (compile-time PCNN_OBS)
 };
 
-/// Collects the process-wide provenance fields. The git SHA is resolved at
-/// runtime against the source tree the binary was configured from, so a
-/// rebuilt binary always reports the current checkout.
+/// Collects the process-wide provenance fields. The git SHA is the one the
+/// binary was built from (fixed at build time, so an old binary never
+/// reports a newer checkout), marked "-dirty" when tracked files differed
+/// from HEAD then.
 Provenance provenance();
 
 /// `provenance()` as a JSON object, with optional caller-supplied extra

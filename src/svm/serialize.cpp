@@ -1,5 +1,6 @@
 #include "svm/serialize.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -18,74 +19,6 @@ constexpr std::uint32_t kVersion = 2;
 /// descriptor (the block-norm HoG window is 3780 doubles) but small enough
 /// that a corrupt dimension field cannot force an absurd allocation.
 constexpr std::uint64_t kMaxModelDim = std::uint64_t{1} << 26;
-
-/// The v1 whitespace-text reader, kept so pre-refactor model files (and
-/// the corrupt-input regression corpus) still load. Never written anymore.
-StatusOr<LinearSvm> tryLoadModelV1(std::istream& in) {
-  std::string magic;
-  std::size_t dim = 0;
-  if (!(in >> magic >> dim) || magic != "pcnn-svm-v1") {
-    return Status::DataLoss("loadModel: bad header (expected pcnn-svm-v1)");
-  }
-  if (dim == 0 || dim > kMaxModelDim) {
-    return Status::OutOfRange("loadModel: weight dimension " +
-                              std::to_string(dim) + " outside 1.." +
-                              std::to_string(kMaxModelDim));
-  }
-  SvmParams params;
-  if (!(in >> params.C >> params.biasScale)) {
-    return Status::DataLoss("loadModel: bad params");
-  }
-  double bias = 0.0;
-  if (!(in >> bias)) return Status::DataLoss("loadModel: bad bias");
-  std::vector<double> weights(dim);
-  for (double& w : weights) {
-    if (!(in >> w)) {
-      return Status::DataLoss("loadModel: truncated weights (expected " +
-                              std::to_string(dim) + ")");
-    }
-  }
-  LinearSvm model(params);
-  model.setModel(std::move(weights), bias);
-  return model;
-}
-
-StatusOr<LinearSvm> tryLoadModelV2(std::istream& in) {
-  io::Reader r(in);
-  if (!r.header(kMagic, kVersion).ok()) return r.status();
-  io::Reader::Chunk chunk;
-  bool end = false;
-  for (;;) {
-    if (!r.nextChunk(chunk, end).ok()) return r.status();
-    if (end) return Status::DataLoss("loadModel: no SVMW chunk");
-    if (chunk.tag == "SVMW") break;  // unknown chunks skipped
-  }
-  std::istringstream payload(chunk.payload);
-  io::Reader pr(payload);
-  std::uint64_t dim = 0;
-  if (!pr.u64(dim).ok()) return pr.status();
-  if (dim == 0 || dim > kMaxModelDim) {
-    return Status::OutOfRange("loadModel: weight dimension " +
-                              std::to_string(dim) + " outside 1.." +
-                              std::to_string(kMaxModelDim));
-  }
-  SvmParams params;
-  double bias = 0.0;
-  pr.f64(params.C);
-  pr.f64(params.biasScale);
-  pr.f64(bias);
-  std::vector<double> weights(static_cast<std::size_t>(dim));
-  for (double& w : weights) {
-    if (!pr.f64(w).ok()) {
-      return Status::DataLoss("loadModel: truncated weights (expected " +
-                              std::to_string(dim) + ")");
-    }
-  }
-  if (!pr.status().ok()) return pr.status();
-  LinearSvm model(params);
-  model.setModel(std::move(weights), bias);
-  return model;
-}
 
 }  // namespace
 
@@ -115,8 +48,49 @@ Status trySaveModelFile(const LinearSvm& model, const std::string& path) {
 }
 
 StatusOr<LinearSvm> tryLoadModel(std::istream& in) {
-  if (io::peekMagic(in) == kMagic) return tryLoadModelV2(in);
-  return tryLoadModelV1(in);
+  io::Reader r(in);
+  if (!r.header(kMagic, kVersion).ok()) return r.status();
+  io::Reader::Chunk chunk;
+  bool end = false;
+  for (;;) {
+    if (!r.nextChunk(chunk, end).ok()) return r.status();
+    if (end) return Status::DataLoss("loadModel: no SVMW chunk");
+    if (chunk.tag == "SVMW") break;  // unknown chunks skipped
+  }
+  std::istringstream payload(chunk.payload);
+  io::Reader pr(payload);
+  std::uint64_t dim = 0;
+  if (!pr.u64(dim).ok()) return pr.status();
+  if (dim == 0 || dim > kMaxModelDim) {
+    return Status::OutOfRange("loadModel: weight dimension " +
+                              std::to_string(dim) + " outside 1.." +
+                              std::to_string(kMaxModelDim));
+  }
+  SvmParams params;
+  double bias = 0.0;
+  pr.f64(params.C);
+  pr.f64(params.biasScale);
+  if (!pr.f64(bias).ok()) return pr.status();
+  // A NaN or infinite term would make every window score NaN, which no
+  // threshold passes: the detector would silently find nothing.
+  if (!std::isfinite(params.C) || params.C <= 0.0 ||
+      !std::isfinite(params.biasScale) || !std::isfinite(bias)) {
+    return Status::OutOfRange(
+        "loadModel: C must be finite and positive, bias terms finite");
+  }
+  std::vector<double> weights(static_cast<std::size_t>(dim));
+  for (double& w : weights) {
+    if (!pr.f64(w).ok()) {
+      return Status::DataLoss("loadModel: truncated weights (expected " +
+                              std::to_string(dim) + ")");
+    }
+    if (!std::isfinite(w)) {
+      return Status::OutOfRange("loadModel: non-finite weight");
+    }
+  }
+  LinearSvm model(params);
+  model.setModel(std::move(weights), bias);
+  return model;
 }
 
 StatusOr<LinearSvm> tryLoadModelFile(const std::string& path) {

@@ -254,19 +254,46 @@ TEST(Integration, HardNegativeMiningReducesSceneFalsePositives) {
   for (int i = 0; i < 2; ++i) {
     negScenes.push_back(synth.scene(rng, 192, 192, 0).image);
   }
-  const hog::HogExtractor extractor;
-  auto fn = [&extractor](const vision::Image& w) {
-    return extractor.windowDescriptor(w);
-  };
-  svm::LinearSvm model;
+  // Block-normalized classic HoG, the descriptor Fig. 4's SVM trains on.
+  const auto extractor =
+      extract::makeExtractor("hog", extract::FeatureLayout::kBlockNorm);
   svm::MiningParams params;
+  // Mine every scene window inside the hinge margin (decision > -1): the
+  // initial model already keeps the scenes below 0, so the default
+  // threshold would mine nothing.
+  params.mineThreshold = -1.0f;
   params.scan.strideX = 16;
   params.scan.strideY = 16;
   params.scan.pyramid.maxLevels = 2;
+  svm::MiningParams noMining = params;
+  noMining.rounds = 0;
+  svm::LinearSvm baseline;
+  trainWithHardNegatives(baseline, *extractor, pos, neg, negScenes, noMining);
+  svm::LinearSvm model;
   const auto result =
-      trainWithHardNegatives(model, fn, pos, neg, negScenes, params);
-  EXPECT_GE(result.minedNegatives, 0);
+      trainWithHardNegatives(model, *extractor, pos, neg, negScenes, params);
+  EXPECT_GT(result.minedNegatives, 0);
   EXPECT_GT(result.finalTrainAccuracy, 0.9);
+
+  // The mined model scores the person-free scenes lower: its best window
+  // over them sits further below the decision boundary.
+  auto maxSceneScore = [&](const svm::LinearSvm& svm) {
+    double best = -1e9;
+    for (const vision::Image& scene : negScenes) {
+      vision::forEachWindowOnGrid(
+          scene, params.scan, extractor->cellSize(),
+          [&](const vision::Image& level) {
+            return extractor->cellGrid(level);
+          },
+          [&](const vision::Image&, const hog::CellGrid& grid, int cx0,
+              int cy0, const vision::Rect&, const vision::Rect&) {
+            best = std::max(best, svm.decision(extractor->windowFromGrid(
+                                      grid, cx0, cy0)));
+          });
+    }
+    return best;
+  };
+  EXPECT_LT(maxSceneScore(model), maxSceneScore(baseline));
 }
 
 }  // namespace

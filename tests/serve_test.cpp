@@ -15,6 +15,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <regex>
 #include <thread>
 #include <vector>
 
@@ -538,6 +539,16 @@ TEST(Provenance, RecordsServeEnvVars) {
   EXPECT_NE(json.find("\"serve_queue_env\": \"17\""), std::string::npos);
   EXPECT_NE(json.find("\"serve_deadline_ms_env\": \"33\""),
             std::string::npos);
+}
+
+TEST(Provenance, GitShaIsFixedAtBuildTime) {
+  // The short SHA the build stamped (with "-dirty" for a modified tree),
+  // or "unknown" when built outside a git checkout -- never empty and
+  // never carrying git's trailing newline.
+  const std::string sha = obs::provenance().gitSha;
+  EXPECT_TRUE(std::regex_match(
+      sha, std::regex("[0-9a-f]{7,40}(-dirty)?|unknown")))
+      << sha;
 }
 
 }  // namespace

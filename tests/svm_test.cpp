@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include <cstdio>
@@ -7,6 +8,8 @@
 #include <sstream>
 
 #include "common/rng.hpp"
+#include "extract/extractor.hpp"
+#include "hog/hog.hpp"
 #include "svm/linear_svm.hpp"
 #include "svm/mining.hpp"
 #include "svm/serialize.hpp"
@@ -186,17 +189,35 @@ TEST(Serialize, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
+/// A one-pixel-cell extractor: each cell is its pixel's intensity, so a
+/// window's flat-cell features are its pixels in row-major order and any
+/// pixel-aligned stride is cell-aligned.
+class PixelExtractor : public extract::FeatureExtractor {
+ public:
+  PixelExtractor(int windowW, int windowH)
+      : FeatureExtractor("pixels", extract::FeatureLayout::kFlatCell, 1,
+                         windowW, windowH, /*cellSize=*/1) {}
+
+  hog::CellGrid cellGrid(const vision::Image& image) override {
+    return hog::CellGrid{image.width(), image.height(), 1, image.data()};
+  }
+  extract::ExtractorInfo info() const override { return {}; }
+};
+
 TEST(Mining, RequiresBothClasses) {
   LinearSvm svm;
-  auto extractor = [](const vision::Image& img) { return img.data(); };
+  PixelExtractor extractor(2, 2);
   EXPECT_THROW(
       trainWithHardNegatives(svm, extractor, {}, {vision::Image(2, 2)}, {}),
+      std::invalid_argument);
+  EXPECT_THROW(
+      trainWithHardNegatives(svm, extractor, {vision::Image(2, 2)}, {}, {}),
       std::invalid_argument);
 }
 
 TEST(Mining, MinesFalsePositivesAndImproves) {
-  // Tiny synthetic setup: features are 8x16 windows flattened; positives
-  // are bright-centre windows.
+  // Tiny synthetic setup: features are 8x16 windows flattened (one-pixel
+  // cells); positives are bright-centre windows.
   pcnn::Rng rng(5);
   auto makeWindow = [&](bool positive) {
     vision::Image img(8, 16, 0.2f);
@@ -237,7 +258,7 @@ TEST(Mining, MinesFalsePositivesAndImproves) {
   params.scan.pyramid.minWidth = 8;
   params.scan.pyramid.minHeight = 16;
   params.scan.pyramid.maxLevels = 1;
-  auto extractor = [](const vision::Image& img) { return img.data(); };
+  PixelExtractor extractor(8, 16);
 
   // Baseline without mining for comparison.
   LinearSvm baseline;
@@ -254,19 +275,16 @@ TEST(Mining, MinesFalsePositivesAndImproves) {
   // Mining must lower the scene windows' decision values overall.
   auto maxSceneScore = [&](const LinearSvm& model) {
     double best = -1e9;
-    // Deliberately the deprecated per-crop scan: mining's own loop.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    vision::forEachWindow(
-        scenes[0], params.scan,
-        [&](const vision::Image& level, const vision::Rect& r,
-            const vision::Rect&) {
-          const vision::Image w =
-              level.crop(static_cast<int>(r.x), static_cast<int>(r.y),
-                         static_cast<int>(r.w), static_cast<int>(r.h));
-          best = std::max(best, model.decision(extractor(w)));
+    // The same grid scan mining runs.
+    vision::forEachWindowOnGrid(
+        scenes[0], params.scan, extractor.cellSize(),
+        [&](const vision::Image& level) { return extractor.cellGrid(level); },
+        [&](const vision::Image&, const hog::CellGrid& grid, int cx0, int cy0,
+            const vision::Rect&, const vision::Rect&) {
+          best = std::max(best,
+                          model.decision(extractor.windowFromGrid(grid, cx0,
+                                                                  cy0)));
         });
-#pragma GCC diagnostic pop
     return best;
   };
   EXPECT_LT(maxSceneScore(svm), maxSceneScore(baseline));

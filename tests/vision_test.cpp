@@ -303,9 +303,21 @@ TEST(Pyramid, RejectsNonShrinkingFactor) {
   EXPECT_THROW(buildPyramid(img, pp), std::invalid_argument);
 }
 
-// The deprecated brute-force scan stays covered until it is removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// forEachWindowOnGrid over a stand-in grid: the scan's geometry, without
+// any feature extraction. The grid function returns the level's width, so
+// a window can check it was handed its own level's grid.
+long countOnGrid(const Image& img, const SlidingWindowParams& params,
+                 int cellSize = 8) {
+  long count = 0;
+  forEachWindowOnGrid(
+      img, params, cellSize, [](const Image& level) { return level.width(); },
+      [&](const Image& level, int gridOfLevel, int, int, const Rect&,
+          const Rect&) {
+        EXPECT_EQ(gridOfLevel, level.width());
+        ++count;
+      });
+  return count;
+}
 
 TEST(SlidingWindow, CountMatchesClosedForm) {
   Image img(128, 256, 0.0f);
@@ -313,25 +325,50 @@ TEST(SlidingWindow, CountMatchesClosedForm) {
   params.pyramid.maxLevels = 1;  // single level
   const long expected =
       ((128 - 64) / 8 + 1) * ((256 - 128) / 8 + 1);
-  EXPECT_EQ(countWindows(img, params), expected);
+  EXPECT_EQ(countOnGrid(img, params), expected);
+
+  // A two-cell stride visits every other cell; a 4-px cell doubles the
+  // span in cells but not the windows at the same pixel stride.
+  params.strideX = 16;
+  params.strideY = 16;
+  EXPECT_EQ(countOnGrid(img, params), ((128 - 64) / 16 + 1) *
+                                          ((256 - 128) / 16 + 1));
+  EXPECT_EQ(countOnGrid(img, params, 4), ((128 - 64) / 16 + 1) *
+                                             ((256 - 128) / 16 + 1));
 }
 
 TEST(SlidingWindow, OriginalCoordinatesScaled) {
   Image img(141, 282, 0.0f);  // second level ~128x256
   SlidingWindowParams params;
   bool sawScaled = false;
-  forEachWindow(img, params,
-                [&](const Image&, const Rect& inLevel, const Rect& inOrig) {
-                  // Restrict to level 1 (level 2 windows scale by 1.21).
-                  if (inOrig.w > 64.5f && inOrig.w < 75.0f) {
-                    sawScaled = true;
-                    EXPECT_NEAR(inOrig.w / inLevel.w, 1.1f, 0.02f);
-                  }
-                });
+  forEachWindowOnGrid(
+      img, params, 8, [](const Image&) { return 0; },
+      [&](const Image&, int, int cx0, int cy0, const Rect& inLevel,
+          const Rect& inOrig) {
+        EXPECT_FLOAT_EQ(inLevel.x, static_cast<float>(cx0 * 8));
+        EXPECT_FLOAT_EQ(inLevel.y, static_cast<float>(cy0 * 8));
+        // Restrict to level 1 (level 2 windows scale by 1.21).
+        if (inOrig.w > 64.5f && inOrig.w < 75.0f) {
+          sawScaled = true;
+          EXPECT_NEAR(inOrig.w / inLevel.w, 1.1f, 0.02f);
+          EXPECT_NEAR(inOrig.x, inLevel.x * inOrig.w / inLevel.w, 1e-3f);
+        }
+      });
   EXPECT_TRUE(sawScaled);
 }
 
-#pragma GCC diagnostic pop
+TEST(SlidingWindow, RejectsUnalignedOrEmptyStride) {
+  Image img(128, 256, 0.0f);
+  SlidingWindowParams params;
+  params.strideX = 4;  // half an 8-px cell
+  EXPECT_THROW(countOnGrid(img, params), std::invalid_argument);
+  params = SlidingWindowParams{};
+  params.windowHeight = 124;  // not a whole number of cells
+  EXPECT_THROW(countOnGrid(img, params), std::invalid_argument);
+  params = SlidingWindowParams{};
+  params.strideY = 0;  // would never advance
+  EXPECT_THROW(countOnGrid(img, params), std::invalid_argument);
+}
 
 TEST(Pgm, RoundTrip) {
   Image img(16, 8);
