@@ -74,16 +74,19 @@ int main() {
                 }, data, valWindows, valLabels));
   }
   {
-    napprox::NApproxParams on;  // l2Normalize = true
-    napprox::NApproxParams off = on;
+    // NApprox cells through the shared block assembler, 18 bins.
+    const napprox::NApproxHog napproxHog;
+    hog::HogParams on;
+    on.numBins = napproxHog.params().bins;
+    hog::HogParams off = on;
     off.l2Normalize = false;
-    const napprox::NApproxHog hogOn(on), hogOff(off);
+    const hog::HogExtractor blocksOn(on), blocksOff(off);
     std::printf("%-28s %12.3f %12.3f\n", "NApprox (18-bin count)",
                 svmValAccuracy([&](const vision::Image& w) {
-                  return hogOn.windowDescriptor(w);
+                  return blocksOn.blocksFromGrid(napproxHog.computeCells(w));
                 }, data, valWindows, valLabels),
                 svmValAccuracy([&](const vision::Image& w) {
-                  return hogOff.windowDescriptor(w);
+                  return blocksOff.blocksFromGrid(napproxHog.computeCells(w));
                 }, data, valWindows, valLabels));
   }
   std::printf("\nBlock normalization is optional in Figure 1; the Eedn path "

@@ -44,9 +44,10 @@ void BM_ClassicHogWindow(benchmark::State& state) {
 BENCHMARK(BM_ClassicHogWindow);
 
 void BM_FixedPointHogWindow(benchmark::State& state) {
-  const hog::FixedPointHog extractor;
+  const auto extractor =
+      extract::makeExtractor("fixedpoint", extract::FeatureLayout::kBlockNorm);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(extractor.windowDescriptor(testWindow()));
+    benchmark::DoNotOptimize(extractor->windowFeatures(testWindow()));
   }
   state.SetItemsProcessed(state.iterations() * 128);
 }

@@ -10,10 +10,9 @@
 
 #include "common/rng.hpp"
 #include "eval/stats.hpp"
-#include "hog/fixed_point.hpp"
+#include "extract/registry.hpp"
 #include "hog/hog.hpp"
 #include "napprox/corelet.hpp"
-#include "napprox/napprox.hpp"
 #include "napprox/quantized.hpp"
 #include "vision/synth.hpp"
 
@@ -33,17 +32,20 @@ int main() {
   std::printf("classic HoG descriptor: %zu features (expected 3780)\n",
               classicDesc.size());
 
-  // 3. FPGA-style fixed-point HoG (the paper's baseline [1]).
-  const hog::FixedPointHog fpga;
-  const auto fpgaDesc = fpga.windowDescriptor(window);
+  // 3. FPGA-style fixed-point HoG (the paper's baseline [1]): integer
+  //    cells through the shared L2 block stage.
+  const auto fpga =
+      extract::makeExtractor("fixedpoint", extract::FeatureLayout::kBlockNorm);
+  const auto fpgaDesc = fpga->windowFeatures(window);
   std::printf("fixed-point HoG descriptor: %zu features, correlation vs "
               "float: %.4f\n",
               fpgaDesc.size(),
               eval::pearsonCorrelation(fpgaDesc, classicDesc));
 
   // 4. NApprox HoG: 18 signed bins, count voting (paper Table 1).
-  const napprox::NApproxHog napproxFp;
-  const auto napproxDesc = napproxFp.windowDescriptor(window);
+  const auto napproxFp =
+      extract::makeExtractor("napprox", extract::FeatureLayout::kBlockNorm);
+  const auto napproxDesc = napproxFp->windowFeatures(window);
   std::printf("NApprox(fp) descriptor: %zu features (expected 7560)\n",
               napproxDesc.size());
 

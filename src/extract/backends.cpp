@@ -23,12 +23,6 @@ hog::CellGrid HogBackend::cellGrid(const vision::Image& image) {
   return model_.computeCells(image);
 }
 
-std::vector<float> HogBackend::windowFeatures(const vision::Image& window) {
-  return layout() == FeatureLayout::kFlatCell
-             ? model_.cellDescriptor(window)
-             : model_.windowDescriptor(window);
-}
-
 ExtractorInfo HogBackend::info() const {
   ExtractorInfo meta;
   meta.precision = "float (software reference)";
@@ -74,22 +68,6 @@ hog::CellGrid NApproxBackend::cellGrid(const vision::Image& image) {
   return model_.computeCells(image);
 }
 
-std::vector<float> NApproxBackend::windowFeatures(
-    const vision::Image& window) {
-  return layout() == FeatureLayout::kFlatCell
-             ? model_.cellDescriptor(window)
-             : model_.windowDescriptor(window);
-}
-
-std::vector<std::vector<float>> NApproxBackend::batchFeatures(
-    const std::vector<vision::Image>& windows) {
-  if (layout() == FeatureLayout::kFlatCell) {
-    BatchScope scope(*this, windows.size());
-    return model_.cellDescriptorBatch(windows);
-  }
-  return FeatureExtractor::batchFeatures(windows);
-}
-
 ExtractorInfo NApproxBackend::info() const {
   ExtractorInfo meta;
   meta.precision = "float";
@@ -112,13 +90,6 @@ QuantizedNApproxBackend::QuantizedNApproxBackend(
 
 hog::CellGrid QuantizedNApproxBackend::cellGrid(const vision::Image& image) {
   return model_.computeCells(image);
-}
-
-std::vector<float> QuantizedNApproxBackend::windowFeatures(
-    const vision::Image& window) {
-  return layout() == FeatureLayout::kFlatCell
-             ? model_.cellDescriptor(window)
-             : model_.windowDescriptor(window);
 }
 
 ExtractorInfo QuantizedNApproxBackend::info() const {
@@ -154,30 +125,17 @@ hog::CellGrid ParrotBackend::cellGrid(const vision::Image& image) {
   return model_.computeCells(image);
 }
 
-std::vector<float> ParrotBackend::windowFeatures(const vision::Image& window) {
-  if (layout() == FeatureLayout::kFlatCell) {
-    return model_.cellDescriptor(window);
-  }
-  return FeatureExtractor::windowFeatures(window);
-}
-
 std::vector<std::vector<float>> ParrotBackend::batchFeatures(
     const std::vector<vision::Image>& windows) {
   BatchScope scope(*this, windows.size());
-  // The parrot's own batch path pre-draws one coding seed per window, so
-  // the batch is deterministic for any thread count. The block layout
-  // reshapes each flat result back into its cell grid and runs the shared
-  // block stage over it -- identical to assembling from cellGrid().
-  std::vector<std::vector<float>> flat = model_.cellDescriptorBatch(windows);
-  if (layout() == FeatureLayout::kFlatCell) return flat;
-  std::vector<std::vector<float>> out(windows.size());
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    hog::CellGrid grid;
-    grid.cellsX = windows[i].width() / cellSize();
-    grid.cellsY = windows[i].height() / cellSize();
-    grid.bins = bins();
-    grid.data = std::move(flat[i]);
-    out[i] = windowFromGrid(grid, 0, 0);
+  // The parrot's batch pre-draws one coding seed per window, so the batch
+  // is deterministic for any thread count; each window's grid is then
+  // sliced exactly as windowFeatures slices cellGrid().
+  const std::vector<hog::CellGrid> grids = model_.computeCellsBatch(windows);
+  std::vector<std::vector<float>> out;
+  out.reserve(grids.size());
+  for (const hog::CellGrid& grid : grids) {
+    out.push_back(windowFromGrid(grid, 0, 0));
   }
   return out;
 }

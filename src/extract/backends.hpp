@@ -22,7 +22,6 @@ class HogBackend final : public FeatureExtractor {
              int windowCellsY = 16);
 
   hog::CellGrid cellGrid(const vision::Image& image) override;
-  std::vector<float> windowFeatures(const vision::Image& window) override;
   ExtractorInfo info() const override;
 
   const hog::HogExtractor& model() const { return model_; }
@@ -58,9 +57,6 @@ class NApproxBackend final : public FeatureExtractor {
                  int windowCellsX = 8, int windowCellsY = 16);
 
   hog::CellGrid cellGrid(const vision::Image& image) override;
-  std::vector<float> windowFeatures(const vision::Image& window) override;
-  std::vector<std::vector<float>> batchFeatures(
-      const std::vector<vision::Image>& windows) override;
   ExtractorInfo info() const override;
 
   const napprox::NApproxHog& model() const { return model_; }
@@ -79,7 +75,6 @@ class QuantizedNApproxBackend final : public FeatureExtractor {
                           int windowCellsX = 8, int windowCellsY = 16);
 
   hog::CellGrid cellGrid(const vision::Image& image) override;
-  std::vector<float> windowFeatures(const vision::Image& window) override;
   ExtractorInfo info() const override;
 
   const napprox::QuantizedNApproxHog& model() const { return model_; }
@@ -111,7 +106,6 @@ class ParrotBackend final : public FeatureExtractor {
                 int windowCellsY = 16);
 
   hog::CellGrid cellGrid(const vision::Image& image) override;
-  std::vector<float> windowFeatures(const vision::Image& window) override;
   std::vector<std::vector<float>> batchFeatures(
       const std::vector<vision::Image>& windows) override;
   ExtractorInfo info() const override;

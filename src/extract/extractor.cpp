@@ -101,19 +101,13 @@ hog::BlockGrid FeatureExtractor::prepareBlocks(
   return blockAssembler_.blockGridFromCells(grid);
 }
 
-std::vector<float> FeatureExtractor::windowFromBlocks(
-    const hog::BlockGrid& blocks, int cx0, int cy0) const {
-  std::vector<float> features;
-  windowFromBlocksInto(blocks, cx0, cy0, features);
-  return features;
-}
-
 void FeatureExtractor::windowFromBlocksInto(const hog::BlockGrid& blocks,
                                             int cx0, int cy0,
                                             std::vector<float>& out) const {
   if (layout_ != FeatureLayout::kBlockNorm) {
     throw std::logic_error(
-        "windowFromBlocks: only block-norm extractors have a block grid");
+        "windowFromBlocksInto: only block-norm extractors have a block "
+        "grid");
   }
   blockAssembler_.windowDescriptorFromBlocksInto(blocks, cx0, cy0,
                                                  windowCellsX_, windowCellsY_,

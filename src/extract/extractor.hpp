@@ -64,12 +64,13 @@ struct CellRect {
 
 /// Polymorphic feature-extraction stage of the partitioned pipeline.
 ///
-/// Captures the contract the system grew implicitly across PR 1: features
-/// are assembled from a per-cell histogram grid (hog::CellGrid) that is
-/// computed once per image and shared by every window over it, plus
-/// whole-window and whole-batch convenience paths. The four backends
-/// (classic HoG, fixed-point FPGA HoG, NApprox, Parrot) all implement this
-/// interface in both feature layouts; consumers (core::GridDetector,
+/// Features are assembled from a per-cell histogram grid (hog::CellGrid)
+/// that is computed once per image and shared by every window over it.
+/// A backend supplies only the grid (cellGrid) and its metadata (info);
+/// every window-feature path -- windowFromGrid, windowFromBlocksInto,
+/// windowFeatures, batchFeatures -- slices that grid here, so all four
+/// backends (classic HoG, fixed-point FPGA HoG, NApprox, Parrot) emit
+/// both feature layouts through one assembler. Consumers (core::GridDetector,
 /// core::PartitionedPipeline, svm mining, the benches) are written against
 /// it, so a new backend is a single registry entry away from every harness.
 ///
@@ -140,34 +141,32 @@ class FeatureExtractor {
 
   /// Precomputes the per-level normalized block grid (kBlockNorm only --
   /// returns an empty grid for kFlatCell, which has no block structure).
-  /// Every block is assembled and L2-normalized once; windowFromBlocks
+  /// Every block is assembled and L2-normalized once; windowFromBlocksInto
   /// then slices windows out of it with plain copies, instead of
   /// re-normalizing each block for each of the up to 4 windows covering
   /// it. Const and re-entrant.
   hog::BlockGrid prepareBlocks(const hog::CellGrid& grid) const;
 
-  /// windowFromGrid equivalent over a grid prepared by prepareBlocks:
+  /// windowFromGrid equivalent over a grid prepared by prepareBlocks,
+  /// written into a caller-owned buffer resized to the window's feature
+  /// length (a buffer reused across windows is never reallocated):
   /// bitwise-identical features, amortized block normalization. Only valid
   /// for kBlockNorm extractors. Const and re-entrant.
-  std::vector<float> windowFromBlocks(const hog::BlockGrid& blocks, int cx0,
-                                      int cy0) const;
-
-  /// windowFromBlocks into a caller-owned buffer, resized to the window's
-  /// feature length: a buffer reused across windows is never reallocated.
   void windowFromBlocksInto(const hog::BlockGrid& blocks, int cx0, int cy0,
                             std::vector<float>& out) const;
 
-  /// Features of one standalone window (== windowFromGrid(cellGrid(w),0,0)
-  /// by default; backends with a native per-window path override to share
-  /// it, and the conformance suite checks the two stay bitwise-identical).
-  virtual std::vector<float> windowFeatures(const vision::Image& window);
+  /// Features of one standalone window: windowFromGrid(cellGrid(w), 0, 0),
+  /// i.e. the window's top-left windowCellsX x windowCellsY cells. A window
+  /// larger than the detection window still yields featureDim() floats.
+  std::vector<float> windowFeatures(const vision::Image& window);
 
   /// windowFeatures over a batch. Stateless backends run on the global
   /// thread pool; results match the sequential loop bit-for-bit at any
   /// thread count. Stateful backends (Parrot) pre-draw one coding seed per
   /// window so their batch is deterministic for a given extractor state
   /// regardless of the thread count (but consumes the RNG stream
-  /// differently than the sequential loop would).
+  /// differently than the sequential loop would). Such an override only
+  /// produces the per-window grids and slices each with windowFromGrid.
   virtual std::vector<std::vector<float>> batchFeatures(
       const std::vector<vision::Image>& windows);
 

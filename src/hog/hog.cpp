@@ -217,21 +217,4 @@ std::vector<float> HogExtractor::windowDescriptor(
   return blocksFromGrid(computeCells(window));
 }
 
-std::vector<float> HogExtractor::cellDescriptor(
-    const vision::Image& window) const {
-  CellGrid grid = computeCells(window);
-  return std::move(grid.data);
-}
-
-int HogExtractor::descriptorSize(int windowWidth, int windowHeight) const {
-  const int cellsX = windowWidth / params_.cellSize;
-  const int cellsY = windowHeight / params_.cellSize;
-  const int bc = params_.blockCells;
-  const int stride = params_.blockStrideCells;
-  const int blocksX = (cellsX - bc) / stride + 1;
-  const int blocksY = (cellsY - bc) / stride + 1;
-  if (blocksX <= 0 || blocksY <= 0) return 0;
-  return blocksX * blocksY * bc * bc * params_.numBins;
-}
-
 }  // namespace pcnn::hog

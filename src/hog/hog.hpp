@@ -65,7 +65,10 @@ struct BlockGrid {
   }
 };
 
-/// Reference floating-point HoG extractor (Dalal & Triggs).
+/// Reference floating-point HoG extractor (Dalal & Triggs), and the one
+/// block assembler of the library: every backend's block-norm features are
+/// sliced out of its cell grid by these block routines
+/// (extract::FeatureExtractor::windowFromGrid / prepareBlocks).
 class HogExtractor {
  public:
   explicit HogExtractor(const HogParams& params = {});
@@ -88,15 +91,6 @@ class HogExtractor {
   /// For a 64x128 window this yields 7*15*4*numBins features (3780 at 9
   /// bins; 7560 at 18 bins, the count quoted in the paper).
   std::vector<float> windowDescriptor(const vision::Image& window) const;
-
-  /// Flat per-cell descriptor with no block structure or normalization --
-  /// the feature layout used when feeding the Eedn classifier, where the
-  /// paper elides block normalization (Section 5). 8*16*numBins features
-  /// for a 64x128 window.
-  std::vector<float> cellDescriptor(const vision::Image& window) const;
-
-  /// Descriptor length of windowDescriptor for the given window size.
-  int descriptorSize(int windowWidth, int windowHeight) const;
 
   /// Assembles (and optionally normalizes) blocks from a precomputed grid.
   std::vector<float> blocksFromGrid(const CellGrid& grid) const;

@@ -82,8 +82,6 @@ class QuantizedNApproxHog {
                                    int y0) const;
 
   hog::CellGrid computeCells(const vision::Image& img) const;
-  std::vector<float> windowDescriptor(const vision::Image& window) const;
-  std::vector<float> cellDescriptor(const vision::Image& window) const;
 
   /// Rate-coded spike count for a pixel value (round(v * spikeWindow)).
   int quantizePixel(float value) const;

@@ -213,12 +213,7 @@ hog::CellGrid ParrotHog::computeCellsWith(const vision::Image& img,
   return grid;
 }
 
-std::vector<float> ParrotHog::cellDescriptor(const vision::Image& window) {
-  hog::CellGrid grid = computeCells(window);
-  return std::move(grid.data);
-}
-
-std::vector<std::vector<float>> ParrotHog::cellDescriptorBatch(
+std::vector<hog::CellGrid> ParrotHog::computeCellsBatch(
     const std::vector<vision::Image>& windows) {
   // Draw the per-window coding seeds sequentially so the realization each
   // window receives depends only on the extractor's stream position, not
@@ -228,29 +223,13 @@ std::vector<std::vector<float>> ParrotHog::cellDescriptorBatch(
   // Build the compiled plan before fanning out: the pool workers below
   // only read it.
   (void)compiledNet();
-  std::vector<std::vector<float>> out(windows.size());
+  std::vector<hog::CellGrid> out(windows.size());
   parallelFor(0, static_cast<long>(windows.size()), [&](long i) {
     const auto idx = static_cast<std::size_t>(i);
     pcnn::Rng rng(seeds[idx]);
-    // One window-major batch through the compiled net; the grid's data
-    // layout (row-major cells, bins per cell) is exactly the flat feature
-    // vector the per-cell path assembled.
-    out[idx] = std::move(computeCellsWith(windows[idx], rng).data);
+    out[idx] = computeCellsWith(windows[idx], rng);
   });
   return out;
-}
-
-std::vector<float> ParrotHog::windowDescriptor(const vision::Image& window,
-                                               bool l2Normalize) {
-  hog::HogParams hp;
-  hp.cellSize = 8;
-  hp.numBins = config_.bins;
-  hp.signedOrientation = true;
-  hp.blockCells = 2;
-  hp.blockStrideCells = 1;
-  hp.l2Normalize = l2Normalize;
-  const hog::HogExtractor assembler(hp);
-  return assembler.blocksFromGrid(computeCells(window));
 }
 
 }  // namespace pcnn::parrot

@@ -73,20 +73,13 @@ class ParrotHog {
   /// hog::CellGrid so downstream classifiers are extractor-agnostic).
   hog::CellGrid computeCells(const vision::Image& img);
 
-  /// Flat cell features of a window (Eedn classifier path, no block norm).
-  std::vector<float> cellDescriptor(const vision::Image& window);
-
-  /// cellDescriptor over a batch of windows, run on the global thread
-  /// pool. One stochastic-coding seed is drawn per window up front (from
-  /// this extractor's coding stream), so the result is deterministic for a
+  /// computeCells over a batch of windows, run on the global thread pool.
+  /// One stochastic-coding seed is drawn per window up front (from this
+  /// extractor's coding stream), so the result is deterministic for a
   /// given extractor state regardless of the thread count. Inference
   /// through the trained net is read-only and safe to share.
-  std::vector<std::vector<float>> cellDescriptorBatch(
+  std::vector<hog::CellGrid> computeCellsBatch(
       const std::vector<vision::Image>& windows);
-
-  /// Block-normalized window descriptor (SVM path).
-  std::vector<float> windowDescriptor(const vision::Image& window,
-                                      bool l2Normalize = true);
 
   /// Raw network output for a 100-pixel patch: per-bin vote-count
   /// estimates on the reference histogram's 0..64 scale.

@@ -16,19 +16,15 @@ MiningResult trainWithHardNegatives(
     throw std::invalid_argument(
         "trainWithHardNegatives: need both positive and negative windows");
   }
-  // A standalone training window IS its own grid (top-left cell 0,0).
-  auto windowFeatures = [&extractor](const vision::Image& window) {
-    return extractor.windowFromGrid(extractor.cellGrid(window), 0, 0);
-  };
   std::vector<std::vector<float>> features;
   std::vector<int> labels;
   features.reserve(positiveWindows.size() + negativeWindows.size());
   for (const auto& window : positiveWindows) {
-    features.push_back(windowFeatures(window));
+    features.push_back(extractor.windowFeatures(window));
     labels.push_back(1);
   }
   for (const auto& window : negativeWindows) {
-    features.push_back(windowFeatures(window));
+    features.push_back(extractor.windowFeatures(window));
     labels.push_back(-1);
   }
   svm.train(features, labels);

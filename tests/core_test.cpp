@@ -125,7 +125,8 @@ TEST(Assemblers, WindowFromBlocksMatchesWindowFromGrid) {
   for (int cy = 0; cy + 4 <= grid.cellsY; ++cy) {
     for (int cx = 0; cx + 3 <= grid.cellsX; ++cx) {
       const auto fromGrid = extractor->windowFromGrid(grid, cx, cy);
-      const auto fromBlocks = extractor->windowFromBlocks(blocks, cx, cy);
+      std::vector<float> fromBlocks;
+      extractor->windowFromBlocksInto(blocks, cx, cy, fromBlocks);
       ASSERT_EQ(fromGrid.size(), fromBlocks.size());
       for (std::size_t i = 0; i < fromGrid.size(); ++i) {
         ASSERT_EQ(fromGrid[i], fromBlocks[i]) << "cx=" << cx << " cy=" << cy

@@ -1,8 +1,9 @@
 // Conformance suite for the polymorphic extractor layer: every registered
 // backend, in both feature layouts, must honour the FeatureExtractor
-// contract -- featureDim() is truthful, the cached-grid slicing path is
-// bitwise-identical to standalone extraction, and batchFeatures matches
-// the sequential loop at any thread count.
+// contract -- featureDim() is truthful for any window size, the
+// cached-grid and block-grid slicing paths are bitwise-identical to
+// standalone extraction, and batchFeatures matches the sequential loop at
+// any thread count.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,6 +17,7 @@
 #include "extract/backends.hpp"
 #include "extract/extractor.hpp"
 #include "extract/registry.hpp"
+#include "hog/hog.hpp"
 #include "vision/synth.hpp"
 
 namespace pcnn::extract {
@@ -65,21 +67,54 @@ std::string caseName(const std::string& spec, FeatureLayout layout) {
   return spec + "/" + layoutName(layout);
 }
 
+/// The top-left cellsX x cellsY cells of `grid`, copied out.
+hog::CellGrid topLeftCells(const hog::CellGrid& grid, int cellsX,
+                           int cellsY) {
+  hog::CellGrid sub;
+  sub.cellsX = cellsX;
+  sub.cellsY = cellsY;
+  sub.bins = grid.bins;
+  for (int cy = 0; cy < cellsY; ++cy) {
+    for (int cx = 0; cx < cellsX; ++cx) {
+      const float* cell = grid.cell(cx, cy);
+      sub.data.insert(sub.data.end(), cell, cell + grid.bins);
+    }
+  }
+  return sub;
+}
+
 TEST(ExtractorConformance, FeatureDimMatchesActualVectorLength) {
-  const vision::Image window = texturedImage(64, 128, 11);
-  for (const auto& spec : deterministicSpecs()) {
-    for (FeatureLayout layout : bothLayouts()) {
-      auto ex = makeExtractor(spec, layout);
-      SCOPED_TRACE(caseName(spec, layout));
-      const auto features = ex->windowFeatures(window);
-      EXPECT_EQ(static_cast<int>(features.size()), ex->featureDim());
-      const int cells = ex->windowCellsX() * ex->windowCellsY();
-      if (layout == FeatureLayout::kFlatCell) {
-        EXPECT_EQ(ex->featureDim(), cells * ex->bins());
-      } else {
-        EXPECT_EQ(ex->featureDim(), (ex->windowCellsX() - 1) *
-                                        (ex->windowCellsY() - 1) * 4 *
-                                        ex->bins());
+  for (const vision::Image& window :
+       {texturedImage(64, 128, 11), texturedImage(72, 136, 12)}) {
+    for (const auto& spec : deterministicSpecs()) {
+      for (FeatureLayout layout : bothLayouts()) {
+        auto ex = makeExtractor(spec, layout);
+        SCOPED_TRACE(caseName(spec, layout) + " " +
+                     std::to_string(window.width()) + "x" +
+                     std::to_string(window.height()));
+        const auto features = ex->windowFeatures(window);
+        EXPECT_EQ(static_cast<int>(features.size()), ex->featureDim());
+        const int cells = ex->windowCellsX() * ex->windowCellsY();
+        if (layout == FeatureLayout::kFlatCell) {
+          EXPECT_EQ(ex->featureDim(), cells * ex->bins());
+        } else {
+          EXPECT_EQ(ex->featureDim(), (ex->windowCellsX() - 1) *
+                                          (ex->windowCellsY() - 1) * 4 *
+                                          ex->bins());
+        }
+        // A window larger than the detection window contributes exactly
+        // its top-left cells: their histograms for the flat layout, their
+        // 2x2 L2 blocks (the reference assembler) for the block layout.
+        const hog::CellGrid sub = topLeftCells(
+            ex->cellGrid(window), ex->windowCellsX(), ex->windowCellsY());
+        if (layout == FeatureLayout::kFlatCell) {
+          EXPECT_EQ(features, sub.data);
+        } else {
+          hog::HogParams blockParams;
+          blockParams.numBins = ex->bins();
+          const hog::HogExtractor assembler(blockParams);
+          EXPECT_EQ(features, assembler.blocksFromGrid(sub));
+        }
       }
     }
   }
@@ -127,6 +162,18 @@ TEST(ExtractorConformance, GridSlicingMatchesStandaloneSubgrid) {
         EXPECT_EQ(ex->windowFromGrid(grid, cx0, cy0),
                   ex->windowFromGrid(sub, 0, 0))
             << "offset (" << cx0 << ", " << cy0 << ")";
+      }
+      if (layout != FeatureLayout::kBlockNorm) continue;
+      // The detector's slicer over the level's prepared block grid agrees
+      // with windowFromGrid at every window origin of the level.
+      const hog::BlockGrid blocks = ex->prepareBlocks(grid);
+      std::vector<float> fromBlocks;
+      for (int cy0 = 0; cy0 + wy <= grid.cellsY; ++cy0) {
+        for (int cx0 = 0; cx0 + wx <= grid.cellsX; ++cx0) {
+          ex->windowFromBlocksInto(blocks, cx0, cy0, fromBlocks);
+          ASSERT_EQ(fromBlocks, ex->windowFromGrid(grid, cx0, cy0))
+              << "origin (" << cx0 << ", " << cy0 << ")";
+        }
       }
     }
   }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "extract/backends.hpp"
 #include "extract/registry.hpp"
 #include "hog/fixed_point.hpp"
 #include "hog/gradient.hpp"
@@ -131,23 +132,25 @@ TEST(HogExtractor, BilinearSplitsVoteBetweenBins) {
 }
 
 TEST(HogExtractor, DescriptorSizeMatchesDalal) {
+  const vision::Image window(64, 128, 0.5f);
   HogParams params;  // 9 bins
   const HogExtractor hog(params);
-  EXPECT_EQ(hog.descriptorSize(64, 128), 3780);  // 7*15*4*9
+  EXPECT_EQ(hog.windowDescriptor(window).size(), 3780u);  // 7*15*4*9
 
   HogParams params18 = params;
   params18.numBins = 18;
   params18.signedOrientation = true;
   const HogExtractor hog18(params18);
   // The paper's 7,560 = 7*15*18*4 feature elements per window.
-  EXPECT_EQ(hog18.descriptorSize(64, 128), 7560);
+  EXPECT_EQ(hog18.windowDescriptor(window).size(), 7560u);
 }
 
 TEST(HogExtractor, WindowDescriptorLengthMatches) {
   const HogExtractor hog;
   vision::Image window(64, 128, 0.5f);
   EXPECT_EQ(static_cast<int>(hog.windowDescriptor(window).size()),
-            hog.descriptorSize(64, 128));
+            extract::makeExtractor("hog", extract::FeatureLayout::kBlockNorm)
+                ->featureDim());
 }
 
 TEST(HogExtractor, L2NormalizedBlocksHaveUnitOrZeroNorm) {
@@ -205,7 +208,6 @@ TEST(WindowAssembly, IntoMatchesByValueForAnyStartingBuffer) {
       }
       for (std::vector<float> buffer : startingBuffers()) {
         blockNorm->windowFromBlocksInto(extractorBlocks, cx, cy, buffer);
-        EXPECT_EQ(buffer, blockNorm->windowFromBlocks(extractorBlocks, cx, cy));
         EXPECT_EQ(buffer, blockNorm->windowFromGrid(grid, cx, cy));
       }
     }
@@ -234,8 +236,6 @@ TEST(WindowAssembly, OutOfRangeWindowsThrow) {
     EXPECT_THROW(blockNorm->windowFromBlocksInto(extractorBlocks, cx, cy,
                                                  buffer),
                  std::invalid_argument);
-    EXPECT_THROW(blockNorm->windowFromBlocks(extractorBlocks, cx, cy),
-                 std::invalid_argument);
   }
   // A flat-cell extractor has no block grid to slice.
   EXPECT_THROW(flatCell->windowFromBlocksInto(extractorBlocks, 0, 0, buffer),
@@ -246,10 +246,12 @@ TEST(HogExtractor, CellDescriptorIsFlatGrid) {
   HogParams params;
   params.numBins = 18;
   params.signedOrientation = true;
-  const HogExtractor hog(params);
+  extract::HogBackend flat("hog18", extract::FeatureLayout::kFlatCell,
+                           params);
   vision::Image window(64, 128, 0.5f);
-  EXPECT_EQ(hog.cellDescriptor(window).size(),
-            static_cast<std::size_t>(8 * 16 * 18));
+  const std::vector<float> features = flat.windowFeatures(window);
+  EXPECT_EQ(features.size(), static_cast<std::size_t>(8 * 16 * 18));
+  EXPECT_EQ(features, flat.model().computeCells(window).data);
 }
 
 TEST(HogExtractor, InvalidParamsThrow) {
@@ -280,15 +282,6 @@ TEST(FixedPointHog, MagnitudeApproximationWithinBounds) {
   }
 }
 
-TEST(FixedPointHog, IntegerSqrt) {
-  EXPECT_EQ(FixedPointHog::isqrt(0), 0u);
-  EXPECT_EQ(FixedPointHog::isqrt(1), 1u);
-  EXPECT_EQ(FixedPointHog::isqrt(15), 3u);
-  EXPECT_EQ(FixedPointHog::isqrt(16), 4u);
-  EXPECT_EQ(FixedPointHog::isqrt(1000000), 1000u);
-  EXPECT_EQ(FixedPointHog::isqrt(999999), 999u);
-}
-
 TEST(FixedPointHog, OrientationBinMatchesFloatAtan) {
   const FixedPointHog hog;
   pcnn::Rng rng(23);
@@ -317,29 +310,34 @@ TEST(FixedPointHog, EvenBinCountRejected) {
 }
 
 TEST(FixedPointHog, DescriptorMatchesFloatHogQualitatively) {
-  // The fixed-point pipeline must produce features highly correlated with
-  // the float reference on the same window.
+  // The fixed-point pipeline's features (integer cells through the shared
+  // L2 block stage) must be highly correlated with the float reference on
+  // the same window, for a person and for background.
   pcnn::Rng rng(31);
   vision::SyntheticPersonDataset dataset;
-  const vision::Image window = dataset.positiveWindow(rng);
+  const vision::Image person = dataset.positiveWindow(rng);
+  const vision::Image background = dataset.negativeWindow(rng);
 
-  const FixedPointHog fixedHog;
+  const auto fixedHog =
+      extract::makeExtractor("fixedpoint", extract::FeatureLayout::kBlockNorm);
   HogParams floatParams;
   floatParams.bilinearBinning = false;  // fixed-point bins to nearest
   const HogExtractor floatHog(floatParams);
 
-  const auto fixedDesc = fixedHog.windowDescriptor(window);
-  const auto floatDesc = floatHog.windowDescriptor(window);
-  ASSERT_EQ(fixedDesc.size(), floatDesc.size());
+  for (const vision::Image* window : {&person, &background}) {
+    const auto fixedDesc = fixedHog->windowFeatures(*window);
+    const auto floatDesc = floatHog.windowDescriptor(*window);
+    ASSERT_EQ(fixedDesc.size(), floatDesc.size());
 
-  double dot = 0, na = 0, nb = 0;
-  for (std::size_t i = 0; i < fixedDesc.size(); ++i) {
-    dot += fixedDesc[i] * floatDesc[i];
-    na += fixedDesc[i] * fixedDesc[i];
-    nb += floatDesc[i] * floatDesc[i];
+    double dot = 0, na = 0, nb = 0;
+    for (std::size_t i = 0; i < fixedDesc.size(); ++i) {
+      dot += fixedDesc[i] * floatDesc[i];
+      na += fixedDesc[i] * fixedDesc[i];
+      nb += floatDesc[i] * floatDesc[i];
+    }
+    const double cosine = dot / std::sqrt(na * nb);
+    EXPECT_GT(cosine, 0.95);
   }
-  const double cosine = dot / std::sqrt(na * nb);
-  EXPECT_GT(cosine, 0.95);
 }
 
 TEST(Visualize, GlyphImageGeometryAndContent) {
@@ -435,37 +433,6 @@ TEST(HogExtractor, GridDescriptorOutOfRangeThrows) {
                std::invalid_argument);
   EXPECT_THROW(hog.windowDescriptorFromGrid(grid, 0, 1, 8, 16),
                std::invalid_argument);
-}
-
-TEST(FixedPointHog, GridDescriptorMatchesWindowDescriptorBitwise) {
-  const FixedPointHog hog;
-  const vision::Image window = syntheticWindow(5);
-  const auto grid = hog.computeCells(window);
-  const auto fromGrid =
-      hog.windowDescriptorFromGrid(grid, 0, 0, grid.cellsX, grid.cellsY);
-  const auto reference = hog.windowDescriptor(window);
-  ASSERT_EQ(fromGrid.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(fromGrid[i], reference[i]) << "mismatch at " << i;
-  }
-}
-
-TEST(FixedPointHog, GridDescriptorSliceMatchesFullGridPrefix) {
-  // The fixed-point path normalizes each block independently, so a slice
-  // anchored at (0,0) of the full grid must reproduce the corresponding
-  // prefix blocks of blocksFromGrid bitwise.
-  const FixedPointHog hog;
-  vision::SyntheticPersonDataset synth;
-  Rng rng(13);
-  const vision::Image scene = synth.scene(rng, 128, 160, 1).image;
-  const auto grid = hog.computeCells(scene);
-  const auto sliced = hog.windowDescriptorFromGrid(grid, 0, 0, 2, 2);
-  // 2x2 cells -> exactly one 2x2 block: the first block of the full grid.
-  const auto full = hog.blocksFromGrid(grid);
-  ASSERT_EQ(sliced.size(), 4u * static_cast<std::size_t>(grid.bins));
-  for (std::size_t i = 0; i < sliced.size(); ++i) {
-    EXPECT_EQ(sliced[i], full[i]) << "mismatch at " << i;
-  }
 }
 
 }  // namespace

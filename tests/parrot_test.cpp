@@ -6,6 +6,7 @@
 #include "common/rng.hpp"
 #include "eedn/mapper.hpp"
 #include "eval/stats.hpp"
+#include "extract/registry.hpp"
 #include "parrot/generator.hpp"
 #include "parrot/parrot.hpp"
 #include "vision/synth.hpp"
@@ -136,9 +137,14 @@ TEST(ParrotHog, CellGridLayout) {
   EXPECT_EQ(grid.cellsX, 8);
   EXPECT_EQ(grid.cellsY, 16);
   EXPECT_EQ(grid.bins, 18);
-  EXPECT_EQ(hog.cellDescriptor(img).size(),
+  EXPECT_EQ(extract::makeExtractor("parrot", extract::FeatureLayout::kFlatCell)
+                ->windowFeatures(img)
+                .size(),
             static_cast<std::size_t>(8 * 16 * 18));
-  EXPECT_EQ(hog.windowDescriptor(img).size(), static_cast<std::size_t>(7560));
+  EXPECT_EQ(extract::makeExtractor("parrot", extract::FeatureLayout::kBlockNorm)
+                ->windowFeatures(img)
+                .size(),
+            static_cast<std::size_t>(7560));
 }
 
 TEST(ParrotHog, StochasticCodingAddsBoundedNoise) {
