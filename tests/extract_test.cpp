@@ -67,16 +67,17 @@ std::string caseName(const std::string& spec, FeatureLayout layout) {
   return spec + "/" + layoutName(layout);
 }
 
-/// The top-left cellsX x cellsY cells of `grid`, copied out.
-hog::CellGrid topLeftCells(const hog::CellGrid& grid, int cellsX,
-                           int cellsY) {
+/// The cellsX x cellsY cells of `grid` whose top-left cell is (cx0, cy0),
+/// copied out as a standalone grid.
+hog::CellGrid subGrid(const hog::CellGrid& grid, int cx0, int cy0,
+                      int cellsX, int cellsY) {
   hog::CellGrid sub;
   sub.cellsX = cellsX;
   sub.cellsY = cellsY;
   sub.bins = grid.bins;
   for (int cy = 0; cy < cellsY; ++cy) {
     for (int cx = 0; cx < cellsX; ++cx) {
-      const float* cell = grid.cell(cx, cy);
+      const float* cell = grid.cell(cx0 + cx, cy0 + cy);
       sub.data.insert(sub.data.end(), cell, cell + grid.bins);
     }
   }
@@ -105,8 +106,9 @@ TEST(ExtractorConformance, FeatureDimMatchesActualVectorLength) {
         // A window larger than the detection window contributes exactly
         // its top-left cells: their histograms for the flat layout, their
         // 2x2 L2 blocks (the reference assembler) for the block layout.
-        const hog::CellGrid sub = topLeftCells(
-            ex->cellGrid(window), ex->windowCellsX(), ex->windowCellsY());
+        const hog::CellGrid sub = subGrid(ex->cellGrid(window), 0, 0,
+                                          ex->windowCellsX(),
+                                          ex->windowCellsY());
         if (layout == FeatureLayout::kFlatCell) {
           EXPECT_EQ(features, sub.data);
         } else {
@@ -148,19 +150,8 @@ TEST(ExtractorConformance, GridSlicingMatchesStandaloneSubgrid) {
       for (const auto& [cx0, cy0] : {std::pair{0, 0}, std::pair{3, 2},
                                     std::pair{grid.cellsX - wx,
                                               grid.cellsY - wy}}) {
-        hog::CellGrid sub;
-        sub.cellsX = wx;
-        sub.cellsY = wy;
-        sub.bins = grid.bins;
-        sub.data.reserve(static_cast<std::size_t>(wx) * wy * grid.bins);
-        for (int cy = 0; cy < wy; ++cy) {
-          for (int cx = 0; cx < wx; ++cx) {
-            const auto* cell = grid.cell(cx0 + cx, cy0 + cy);
-            sub.data.insert(sub.data.end(), cell, cell + grid.bins);
-          }
-        }
         EXPECT_EQ(ex->windowFromGrid(grid, cx0, cy0),
-                  ex->windowFromGrid(sub, 0, 0))
+                  ex->windowFromGrid(subGrid(grid, cx0, cy0, wx, wy), 0, 0))
             << "offset (" << cx0 << ", " << cy0 << ")";
       }
       if (layout != FeatureLayout::kBlockNorm) continue;
